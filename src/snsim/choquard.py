@@ -19,9 +19,10 @@ functional
 
     E(phi) = hbar^2/(2M) int |grad phi|^2 d^3x + (1/2) int M Phi |phi|^2 d^3x
 
-are reported; for this nonlinear problem they differ (the virial relation
-gives E0 = 3 E at the minimizer).  In units hbar = G = M = 1 with unit
-squared norm the bound-state energies are pure numbers; the published fit
+are reported; for this nonlinear problem they differ (at the minimizer
+the virial relation gives E0 N^2 = 3 E, with N^2 the squared norm).  In
+units hbar = G = M = 1 with unit squared norm the bound-state energies
+are pure numbers; the published fit
 for their magnitudes is e_n = a/(n+b)^c with a, b, c near (0.096, 0.76,
 2.00), and E scales with the cube of the squared norm.
 """

@@ -16,12 +16,12 @@ norm of the wave.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ConfigError
 from .fields import Grid1D, WaveField, mean_position
@@ -178,22 +178,35 @@ def self_harmonic(f: WaveField, model: HarmonicModelParams) -> np.ndarray:
     return 0.5 * model.k_self * u * u
 
 
+@functools.lru_cache(maxsize=8)
+def _kernel_spectrum(kernel: ConvolutionKernel, grid: Grid1D) -> np.ndarray:
+    """rfft of coupling * dx * F on the wrap-around offsets of a 2n circle.
+
+    Entry j < n holds F(j dx), entry 2n - j holds F(j dx); entry n is
+    never reached by an n-point density and stays zero.
+    """
+    n = grid.n_points
+    samples = kernel.sample(grid.dx * np.arange(n))
+    ring = np.concatenate([samples, [0.0], samples[:0:-1]])
+    spectrum = np.fft.rfft(kernel.coupling * grid.dx * ring)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def convolution_self_potential(f: WaveField, kernel: ConvolutionKernel) -> np.ndarray:
     """Self potential coupling * (|f|^2 conv F) by linear FFT convolution.
 
-    Zero padding makes this the open-boundary (non-circular) convolution,
-    exact to quadrature for densities supported inside the domain.
+    Zero padding to 2n makes this the open-boundary (non-circular)
+    convolution, exact to quadrature for densities supported inside the
+    domain.  The kernel spectrum is computed once per (kernel, grid).
     """
     v = f.values
     rho = v.real * v.real + v.imag * v.imag
     n = f.grid.n_points
-    dx = f.grid.dx
-    offsets = dx * np.arange(-(n - 1), n)
-    samples = kernel.sample(offsets)
-    # 'valid' of (2n-1) against (n) yields exactly the n sums
-    # sum_m rho_m F(|x_i - x_m|)
-    full = fftconvolve(samples, rho, mode="valid")
-    return kernel.coupling * full * dx
+    # the first n entries of the 2n-point circular convolution are exactly
+    # the n sums sum_m rho_m F(|x_i - x_m|)
+    spectrum = _kernel_spectrum(kernel, f.grid)
+    return np.fft.irfft(np.fft.rfft(rho, 2 * n) * spectrum, 2 * n)[:n]
 
 
 def scaling_check(f: WaveField, lam: complex, kernel: ConvolutionKernel) -> float:

@@ -1,14 +1,15 @@
 """Time evolution by Strang split-step and imaginary-time relaxation.
 
 Real-time steps apply exp(-i V dt / 2hbar), a full spectral kinetic step
-exp(-i hbar k^2 dt / 2m), then exp(-i V dt / 2hbar).  The potential step
-is diagonal in position and never changes |psi|, so self-consistent
-quantities built from the density (the packet mean, the convolution
-potential) are naturally evaluated at sub-step boundaries.  With the
-default midpoint self-consistency the second half-step uses the density
-after the kinetic step, keeping the scheme second order and time
-reversible; the "frozen" mode reuses the start-of-step value and is kept
-for cross-checks.
+exp(-i hbar k^2 dt / 2m), then exp(-i V dt / 2hbar).  One loop serves the
+three potential families: a static potential, the mean-field self-trap
+and the convolution kernel.  The potential step is diagonal in position
+and never changes |psi|, so a density-built potential evaluated right
+after the kinetic step closes step n and opens step n + 1: one
+evaluation per step, at the midpoint density, which keeps the scheme
+second order and time reversible.  Between outputs the two half-steps
+are fused into one exp(-i V dt / hbar); at an output the same value
+feeds the logged energy.
 
 A propagation run owns its working array exclusively; the returned log
 is append-only during the run and should be treated as immutable after.
@@ -42,9 +43,6 @@ from .potentials import (
 
 logger = logging.getLogger(__name__)
 
-SCHEMES = ("strang_split", "imaginary_time")
-SELF_CONSISTENCY_MODES = ("frozen", "midpoint_predictor")
-
 # |psi|^2 at the domain edge above this fraction of the peak aborts a run
 BOUNDARY_LEAK_THRESHOLD = 1e-12
 # accuracy bound: resolve the fastest oscillation with at least this many steps
@@ -58,8 +56,6 @@ class EvolutionSpec:
     dt: float
     t_end: float
     output_stride: int = 1
-    scheme: str = "strang_split"
-    self_consistency: str = "midpoint_predictor"
     check_boundary: bool = True
     store_fields: bool = True
 
@@ -71,12 +67,6 @@ class EvolutionSpec:
             errors.append("t_end must be positive")
         if self.output_stride < 1:
             errors.append("output_stride must be >= 1")
-        if self.scheme not in SCHEMES:
-            errors.append(f"scheme must be one of {SCHEMES}")
-        if self.self_consistency not in SELF_CONSISTENCY_MODES:
-            errors.append(
-                f"self_consistency must be one of {SELF_CONSISTENCY_MODES}"
-            )
         if not errors and self.dt != 0.0:
             ratio = self.t_end / abs(self.dt)
             if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
@@ -139,15 +129,31 @@ def _density(vals: np.ndarray) -> np.ndarray:
     return vals.real * vals.real + vals.imag * vals.imag
 
 
+@dataclass(frozen=True)
+class _Family:
+    """The potential a Strang run steps under: V = v_ext + V_self[psi].
+
+    ``self_potential`` maps field values to V_self and is None for a
+    static potential.  The interaction energy is
+    ``energy_weight * int V_self |psi|^2 dx``: 1 for the mean-field trap
+    (homogeneous of degree one in the density), 1/2 for a pair kernel
+    (degree two).
+    """
+
+    v_ext: np.ndarray
+    self_potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    energy_weight: float = 1.0
+
+
 class _Recorder:
-    """Shared bookkeeping for the real-time evolvers."""
+    """Per-output bookkeeping of a Strang run."""
 
     def __init__(self, grid: Grid1D, spec: EvolutionSpec, phys: PhysParams,
-                 energy_fn: Callable[[np.ndarray], float]):
+                 family: _Family):
         self.grid = grid
         self.spec = spec
         self.phys = phys
-        self.energy_fn = energy_fn
+        self.family = family
         self.log = TrajectoryLog(spec.store_fields)
         self.boundary_active = spec.check_boundary
 
@@ -165,7 +171,7 @@ class _Recorder:
             )
             self.boundary_active = False
 
-    def record(self, t: float, vals: np.ndarray):
+    def record(self, t: float, vals: np.ndarray, v_self):
         rho = _density(vals)
         dx = self.grid.dx
         x = self.grid.nodes
@@ -180,13 +186,16 @@ class _Recorder:
             mean2 = float((rho * x * x).sum() * dx / n2)
         else:
             mean = mean2 = 0.0
+        energy = _kinetic_energy(vals, self.grid, self.phys) + float(
+            np.sum(self.family.v_ext * rho) * dx
+        )
+        if v_self is not None:
+            energy += self.family.energy_weight * float(np.sum(v_self * rho) * dx)
         fld = WaveField(self.grid, vals.copy()) if self.spec.store_fields else None
-        self.log.append(t, mean, mean2, n2, self.energy_fn(vals), fld)
+        self.log.append(t, mean, mean2, n2, energy, fld)
 
 
 def _check_dt_accuracy(spec: EvolutionSpec, omega_fast: float):
-    if omega_fast <= 0.0:
-        return None
     dt_max = 2.0 * np.pi / (MIN_STEPS_PER_PERIOD * omega_fast)
     if abs(spec.dt) > dt_max * (1.0 + 1e-12):
         raise ConfigError(
@@ -196,6 +205,63 @@ def _check_dt_accuracy(spec: EvolutionSpec, omega_fast: float):
     return dt_max
 
 
+def _evolve(
+    psi0: WaveField,
+    family: _Family,
+    spec: EvolutionSpec,
+    phys: PhysParams,
+) -> tuple[TrajectoryLog, WaveField]:
+    """Strang evolution with one potential evaluation per step."""
+    grid = psi0.grid
+    if family.v_ext.shape != (grid.n_points,):
+        raise ConfigError("v_ext shape does not match the grid")
+    if squared_norm(psi0) <= 0.0:
+        raise DegenerateInputError("cannot evolve a zero-norm field")
+    dt = spec.dt
+    k = grid.wavenumbers
+    kin_phase = np.exp(-1j * phys.hbar * k * k * dt / (2.0 * phys.mass))
+    half_factor = -1j * dt / (2.0 * phys.hbar)
+    static = family.self_potential is None
+    if static:
+        # a fixed potential needs its two phase factors only once
+        half_ext = np.exp(half_factor * family.v_ext)
+        static_phase = {1: half_ext, 2: half_ext * half_ext}
+
+    def evaluate(vals):
+        return None if static else family.self_potential(vals)
+
+    def phase(v_self, halves):
+        if static:
+            return static_phase[halves]
+        return np.exp(halves * half_factor * (family.v_ext + v_self))
+
+    rec = _Recorder(grid, spec, phys, family)
+    rec.baseline(psi0.values)
+    vals = psi0.values.copy()
+    v_self = evaluate(vals)
+    rec.record(0.0, vals, v_self)
+    vals *= phase(v_self, 1)
+    n_steps, stride = spec.n_steps, spec.output_stride
+    for step in range(1, n_steps + 1):
+        ft = np.fft.fft(vals)
+        ft *= kin_phase
+        vals = np.fft.ifft(ft)
+        # |psi| is the same on both sides of the potential step, so this
+        # value closes this step and opens the next
+        v_self = evaluate(vals)
+        if step % stride and step < n_steps:
+            vals *= phase(v_self, 2)
+            continue
+        half_phase = phase(v_self, 1)
+        vals *= half_phase
+        if step % stride == 0:
+            rec.record(step * dt, vals, v_self)
+        if step < n_steps:
+            vals *= half_phase
+    rec.log.diagnostics.update(dt=dt, n_steps=n_steps)
+    return rec.log, WaveField(grid, vals)
+
+
 def evolve_linear(
     psi0: WaveField,
     v_ext: np.ndarray,
@@ -203,85 +269,7 @@ def evolve_linear(
     phys: PhysParams = PhysParams(),
 ) -> tuple[TrajectoryLog, WaveField]:
     """Unitary Strang evolution under a static external potential."""
-    if spec.scheme != "strang_split":
-        raise ConfigError("evolve_linear requires scheme=strang_split")
-    grid = psi0.grid
-    v_ext = np.asarray(v_ext, dtype=float)
-    if v_ext.shape != (grid.n_points,):
-        raise ConfigError("v_ext shape does not match the grid")
-    dt = spec.dt
-    k = grid.wavenumbers
-    kin_phase = np.exp(-1j * phys.hbar * k * k * dt / (2.0 * phys.mass))
-    half_phase = np.exp(-1j * v_ext * dt / (2.0 * phys.hbar))
-
-    def energy(vals):
-        return _kinetic_energy(vals, grid, phys) + float(
-            np.sum(v_ext * _density(vals)) * grid.dx
-        )
-
-    rec = _Recorder(grid, spec, phys, energy)
-    rec.baseline(psi0.values)
-    vals = psi0.values.copy()
-    rec.record(0.0, vals)
-    for step in range(spec.n_steps):
-        vals *= half_phase
-        vals = np.fft.ifft(np.fft.fft(vals) * kin_phase)
-        vals *= half_phase
-        if (step + 1) % spec.output_stride == 0:
-            rec.record((step + 1) * dt, vals)
-    rec.log.diagnostics.update(scheme="strang_split", dt=dt,
-                               n_steps=spec.n_steps)
-    return rec.log, WaveField(grid, vals)
-
-
-def _evolve_self_consistent(
-    psi0: WaveField,
-    spec: EvolutionSpec,
-    phys: PhysParams,
-    v_ext: np.ndarray,
-    self_potential: Callable[[np.ndarray], np.ndarray],
-    self_energy: Callable[[np.ndarray], float],
-    omega_fast: Optional[float],
-) -> tuple[TrajectoryLog, WaveField]:
-    if spec.scheme != "strang_split":
-        raise ConfigError("real-time evolution requires scheme=strang_split")
-    grid = psi0.grid
-    if squared_norm(psi0) <= 0.0:
-        raise DegenerateInputError("cannot evolve a zero-norm field")
-    dt = spec.dt
-    dt_max = _check_dt_accuracy(spec, omega_fast) if omega_fast else None
-    k = grid.wavenumbers
-    kin_phase = np.exp(-1j * phys.hbar * k * k * dt / (2.0 * phys.mass))
-    half_factor = -1j * dt / (2.0 * phys.hbar)
-
-    def energy(vals):
-        return (
-            _kinetic_energy(vals, grid, phys)
-            + float(np.sum(v_ext * _density(vals)) * grid.dx)
-            + self_energy(vals)
-        )
-
-    rec = _Recorder(grid, spec, phys, energy)
-    rec.baseline(psi0.values)
-    vals = psi0.values.copy()
-    rec.record(0.0, vals)
-    midpoint = spec.self_consistency == "midpoint_predictor"
-    for step in range(spec.n_steps):
-        v1 = v_ext + self_potential(vals)
-        vals *= np.exp(half_factor * v1)
-        vals = np.fft.ifft(np.fft.fft(vals) * kin_phase)
-        v2 = v_ext + self_potential(vals) if midpoint else v1
-        vals *= np.exp(half_factor * v2)
-        if (step + 1) % spec.output_stride == 0:
-            rec.record((step + 1) * dt, vals)
-    rec.log.diagnostics.update(
-        scheme="strang_split",
-        self_consistency=spec.self_consistency,
-        dt=dt,
-        dt_max=dt_max,
-        n_steps=spec.n_steps,
-    )
-    return rec.log, WaveField(grid, vals)
+    return _evolve(psi0, _Family(np.asarray(v_ext, dtype=float)), spec, phys)
 
 
 def evolve_self_harmonic(
@@ -299,37 +287,25 @@ def evolve_self_harmonic(
     """
     grid = psi0.grid
     x = grid.nodes
-    dx = grid.dx
-    v_ext = harmonic_external(grid, model.k_ext)
     ratio = sphere_validity_ratio(psi0, model)
     if ratio is not None and ratio > 0.2:
         logger.warning(
             "packet rms width is %.3g of the sphere radius; the quadratic "
             "sphere expansion is inaccurate", ratio
         )
+    omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
+    dt_max = _check_dt_accuracy(spec, omega_fast) if omega_fast > 0 else None
 
     def self_potential(vals):
-        if model.k_self == 0.0:
-            return 0.0
         rho = _density(vals)
-        total = rho.sum()
-        xbar = (rho * x).sum() / total
-        u = x - xbar
+        u = x - (rho * x).sum() / rho.sum()
         return 0.5 * model.k_self * u * u
 
-    def self_energy(vals):
-        if model.k_self == 0.0:
-            return 0.0
-        rho = _density(vals)
-        n2 = rho.sum() * dx
-        xbar = (rho * x).sum() * dx / n2
-        var = (rho * (x - xbar) ** 2).sum() * dx / n2
-        return 0.5 * model.k_self * n2 * var
-
-    omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
-    return _evolve_self_consistent(
-        psi0, spec, phys, v_ext, self_potential, self_energy, omega_fast
-    )
+    family = _Family(harmonic_external(grid, model.k_ext),
+                     self_potential if model.k_self != 0.0 else None)
+    log, final = _evolve(psi0, family, spec, phys)
+    log.diagnostics["dt_max"] = dt_max
+    return log, final
 
 
 def evolve_kernel(
@@ -341,21 +317,12 @@ def evolve_kernel(
 ) -> tuple[TrajectoryLog, WaveField]:
     """Evolve under V_ext plus the convolution self-potential."""
     grid = psi0.grid
-    v_ext = np.asarray(v_ext, dtype=float)
-    if v_ext.shape != (grid.n_points,):
-        raise ConfigError("v_ext shape does not match the grid")
-    dx = grid.dx
 
     def self_potential(vals):
         return convolution_self_potential(WaveField(grid, vals), kernel)
 
-    def self_energy(vals):
-        v_nl = self_potential(vals)
-        return 0.5 * float(np.sum(v_nl * _density(vals)) * dx)
-
-    return _evolve_self_consistent(
-        psi0, spec, phys, v_ext, self_potential, self_energy, None
-    )
+    family = _Family(np.asarray(v_ext, dtype=float), self_potential, 0.5)
+    return _evolve(psi0, family, spec, phys)
 
 
 @dataclass

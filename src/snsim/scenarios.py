@@ -113,8 +113,6 @@ class ScenarioConfig:
     dt: Optional[float] = None
     t_end: Optional[float] = None
     output_stride: int = 1
-    scheme: str = "strang_split"
-    self_consistency: str = "midpoint_predictor"
     init_center: Optional[float] = None
     init_width: Optional[float] = None
     init_velocity: float = 0.0
@@ -131,7 +129,7 @@ class ScenarioConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 _INT_KEYS = {"n_points", "output_stride", "radial_points"}
 _BOOL_KEYS = {"snapshots"}
-_STR_KEYS = {"scenario", "kernel", "kernel_file", "scheme", "self_consistency"}
+_STR_KEYS = {"scenario", "kernel", "kernel_file"}
 _TRUE_WORDS = {"on", "true", "yes", "1"}
 _FALSE_WORDS = {"off", "false", "no", "0"}
 
@@ -208,10 +206,6 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
         errors.append(f"scenario must be one of {', '.join(SCENARIOS)}")
     if cfg.kernel not in KERNELS:
         errors.append(f"kernel must be one of {', '.join(KERNELS)}")
-    if cfg.scheme not in ("strang_split", "imaginary_time"):
-        errors.append("scheme must be strang_split or imaginary_time")
-    if cfg.self_consistency not in ("frozen", "midpoint_predictor"):
-        errors.append("self_consistency must be frozen or midpoint_predictor")
     for name in ("mass", "G", "norm_sq", "stiffness_ratio", "sphere_mass",
                  "sphere_radius", "dt", "t_end", "init_width", "pilot_width",
                  "r_max", "relax_tol"):
@@ -416,7 +410,6 @@ def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
     n_steps = max(3, math.ceil(t_end / dt_nominal - 1e-9))
     dt = t_end / n_steps
     spec = EvolutionSpec(dt=dt, t_end=t_end, output_stride=cfg.output_stride,
-                         self_consistency=cfg.self_consistency,
                          store_fields=True)
 
     pilot0 = gaussian_packet(grid, cfg.pilot_center, a_l, chirp=cfg.pilot_chirp,
@@ -539,7 +532,6 @@ def build_boost(cfg: ScenarioConfig) -> BoostResult:
     dt = t_end / n_steps
     stride = cfg.output_stride if cfg.output_stride != 1 else max(1, n_steps // 50)
     spec = EvolutionSpec(dt=dt, t_end=t_end, output_stride=stride,
-                         self_consistency=cfg.self_consistency,
                          store_fields=True)
 
     # snap the boost to a grid wavenumber so the phase stays periodic
@@ -765,7 +757,6 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     dt = t_end / n_steps
     stride = cfg.output_stride if cfg.output_stride != 1 else max(1, n_steps // 200)
     spec = EvolutionSpec(dt=dt, t_end=t_end, output_stride=stride,
-                         self_consistency=cfg.self_consistency,
                          store_fields=False)
     width = cfg.init_width if cfg.init_width is not None else 1.0
     dk = 2.0 * math.pi / grid.length
@@ -815,7 +806,6 @@ def build_custom(cfg: ScenarioConfig):
     grid = Grid1D(cfg.n_points, cfg.x_min, cfg.x_max)
     spec = EvolutionSpec(dt=cfg.dt, t_end=cfg.t_end,
                          output_stride=cfg.output_stride,
-                         self_consistency=cfg.self_consistency,
                          store_fields=cfg.snapshots)
     psi0 = gaussian_packet(grid, cfg.init_center, cfg.init_width,
                            velocity=cfg.init_velocity, norm_sq=phys.norm_sq,
@@ -883,6 +873,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunReport:
     elif cfg.scenario == "choquard":
         result = build_choquard(cfg)
         tsv = out / "choquard_results.tsv"
+        # the record appends, so a rerun into the same directory starts over
+        tsv.unlink(missing_ok=True)
         for r in result.results:
             append_result_record(tsv, r)
         outputs.append(str(tsv))
@@ -952,8 +944,10 @@ def sweep(cfg: ScenarioConfig, param: str, values: Sequence[float],
           out_dir, jobs: int = 1) -> tuple[list, bool]:
     """Run one scenario per value concurrently and aggregate a TSV.
 
-    Per-value failures are recorded in their row; the sweep itself never
-    aborts.  Rows come back sorted by value regardless of completion
+    Values that are not finite, not integral for an integer key, or
+    that would share a run directory are rejected before any member
+    runs.  Per-value failures are recorded in their row; the sweep itself
+    never aborts.  Rows come back sorted by value regardless of completion
     order.
     """
     if param not in NUMERIC_SWEEP_KEYS:
@@ -961,6 +955,20 @@ def sweep(cfg: ScenarioConfig, param: str, values: Sequence[float],
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    errors = []
+    run_dirs = {}
+    for value in values:
+        if not math.isfinite(value):
+            errors.append(f"sweep value {value!r} is not finite")
+        elif param in _INT_KEYS and value != int(value):
+            errors.append(f"{param} takes integers, got {value!r}")
+        name = f"{param}_{value:g}"
+        if name in run_dirs:
+            errors.append(f"sweep values {run_dirs[name]!r} and {value!r} "
+                          f"share the run directory {name}/")
+        run_dirs.setdefault(name, value)
+    if errors:
+        raise ConfigError(errors)
     cfg = resolve_sweep_window(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -230,8 +230,7 @@ class TestReports:
         fig = small_figure1
         spec = fig.spec
         back = EvolutionSpec(dt=-spec.dt, t_end=spec.t_end,
-                             output_stride=spec.output_stride,
-                             self_consistency=spec.self_consistency)
+                             output_stride=spec.output_stride)
         v_ext = harmonic_external(fig.grid, fig.model.k_ext)
         pilot_log, _ = evolve_linear(fig.pilot_final, v_ext, back, fig.phys)
         full_log, _ = evolve_self_harmonic(fig.full_final, fig.model, back,

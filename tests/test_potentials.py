@@ -123,6 +123,45 @@ class TestConvolutionPotential:
         assert np.max(np.abs(left - right)) < 1e-10 * np.max(np.abs(v))
 
 
+class TestConvolutionDirectSum:
+    """The FFT route against sum_m rho_m F(|x_i - x_m|) written out."""
+
+    GRID = Grid1D(256, -8.0, 8.0)
+
+    @staticmethod
+    def sphere(tmp_path):
+        model = HarmonicModelParams(k_ext=0.0, k_self=self_stiffness(1.0, 1.0, 5.0, 1.0),
+                                    sphere_mass=1.0, sphere_radius=5.0)
+        return sphere_quadratic_kernel(PhysParams(), model)
+
+    @staticmethod
+    def gaussian(tmp_path):
+        return ConvolutionKernel(lambda u: np.exp(-0.5 * u * u), -1.3)
+
+    @staticmethod
+    def table(tmp_path):
+        u = np.linspace(0.0, 16.0, 801)
+        path = tmp_path / "kernel.txt"
+        np.savetxt(path, np.column_stack([u, 1.0 / (1.0 + u * u)]))
+        return load_kernel_table(path, PhysParams())
+
+    @pytest.mark.parametrize("make", ["sphere", "gaussian", "table"])
+    def test_matches_direct_sum(self, make, tmp_path):
+        kernel = getattr(self, make)(tmp_path)
+        grid = self.GRID
+        # an asymmetric density, so no symmetry hides an index error
+        f = WaveField(grid, gaussian_packet(grid, -1.5, 0.8, velocity=2.0).values
+                      + 0.5 * gaussian_packet(grid, 2.0, 1.3).values)
+        x = grid.nodes
+        rho = np.abs(f.values) ** 2
+        direct = np.array([
+            kernel.coupling * np.sum(rho * kernel.fn(np.abs(xi - x))) * grid.dx
+            for xi in x
+        ])
+        v = convolution_self_potential(f, kernel)
+        assert np.max(np.abs(v - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 class TestScalingCheck:
     KERNEL = ConvolutionKernel(lambda u: np.exp(-0.5 * u * u), -1.0)
 

@@ -9,11 +9,14 @@ from snsim.errors import (
 )
 from snsim.fields import Grid1D, WaveField, gaussian_packet, moments
 from snsim.oracles import GaussianMoments, coherent_state, gaussian_moment_flow
+import snsim.propagate
 from snsim.potentials import (
     ConvolutionKernel,
     HarmonicModelParams,
     PhysParams,
+    convolution_self_potential,
     harmonic_external,
+    self_harmonic,
     self_stiffness,
     sphere_quadratic_kernel,
 )
@@ -41,12 +44,6 @@ class TestEvolutionSpec:
     def test_integer_step_count(self):
         with pytest.raises(ConfigError):
             EvolutionSpec(dt=0.3, t_end=1.0)
-
-    def test_enums_validated(self):
-        with pytest.raises(ConfigError):
-            EvolutionSpec(dt=0.1, t_end=1.0, scheme="leapfrog")
-        with pytest.raises(ConfigError):
-            EvolutionSpec(dt=0.1, t_end=1.0, self_consistency="implicit")
 
     def test_step_count(self):
         assert EvolutionSpec(dt=0.01, t_end=1.0).n_steps == 100
@@ -272,6 +269,89 @@ class TestEvolveKernel:
         assert np.max(np.abs(acc)) < 5e-6
 
 
+SMALL = Grid1D(512, -16.0, 16.0)
+FUSION_MODEL = HarmonicModelParams(k_ext=1.0, k_self=20.0)
+FUSION_KERNEL = ConvolutionKernel(lambda u: np.exp(-0.5 * u * u), -3.0)
+
+
+def _fusion_case(family):
+    """(evolver, V[psi] for the reference loop, interaction energy weight)."""
+    v_ext = harmonic_external(SMALL, FUSION_MODEL.k_ext)
+    if family == "static":
+        return ((lambda psi, spec: evolve_linear(psi, v_ext, spec, PHYS)),
+                lambda vals: np.zeros(SMALL.n_points), 0.0)
+    if family == "mean-field":
+        return ((lambda psi, spec: evolve_self_harmonic(psi, FUSION_MODEL, spec, PHYS)),
+                lambda vals: self_harmonic(WaveField(SMALL, vals), FUSION_MODEL), 1.0)
+    return ((lambda psi, spec: evolve_kernel(psi, FUSION_KERNEL, v_ext, spec, PHYS)),
+            lambda vals: convolution_self_potential(WaveField(SMALL, vals),
+                                                    FUSION_KERNEL), 0.5)
+
+
+def _unfused_reference(psi0, v_self, weight, spec):
+    """Textbook Strang: two potential evaluations, two half-steps a step.
+
+    Returns the output times, fields and energies, and the final field.
+    """
+    v_ext = harmonic_external(SMALL, FUSION_MODEL.k_ext)
+    k = SMALL.wavenumbers
+    kin = np.exp(-1j * PHYS.hbar * k * k * spec.dt / (2.0 * PHYS.mass))
+    half = -0.5j * spec.dt / PHYS.hbar
+
+    def energy(vals):
+        ft = np.fft.fft(vals)
+        kinetic = (PHYS.hbar**2 / (2.0 * PHYS.mass) * np.sum(k * k * np.abs(ft) ** 2)
+                   * SMALL.dx / SMALL.n_points)
+        rho = np.abs(vals) ** 2
+        return kinetic + np.sum((v_ext + weight * v_self(vals)) * rho) * SMALL.dx
+
+    vals = psi0.values.copy()
+    times, fields, energies = [0.0], [vals.copy()], [energy(vals)]
+    for step in range(1, spec.n_steps + 1):
+        vals = vals * np.exp(half * (v_ext + v_self(vals)))
+        vals = np.fft.ifft(np.fft.fft(vals) * kin)
+        vals = vals * np.exp(half * (v_ext + v_self(vals)))
+        if step % spec.output_stride == 0:
+            times.append(step * spec.dt)
+            fields.append(vals.copy())
+            energies.append(energy(vals))
+    return times, fields, energies, vals
+
+
+class TestFusedStepper:
+    @pytest.mark.parametrize("family", ["static", "mean-field", "kernel"])
+    @pytest.mark.parametrize("dt, stride", [(2e-3, 1), (2e-3, 7), (-2e-3, 5)])
+    def test_matches_unfused_reference(self, family, dt, stride):
+        evolve, v_self, weight = _fusion_case(family)
+        psi0 = gaussian_packet(SMALL, 0.7, 0.6, velocity=1.5)
+        # 40 steps: with stride 7 the run ends between two outputs
+        spec = EvolutionSpec(dt=dt, t_end=40 * abs(dt), output_stride=stride)
+        log, final = evolve(psi0, spec)
+        times, fields, energies, ref_final = _unfused_reference(
+            psi0, v_self, weight, spec)
+        assert log.times == pytest.approx(times, abs=1e-15)
+        for fld, ref in zip(log.fields, fields):
+            assert np.max(np.abs(fld.values - ref)) < 1e-12
+        assert np.max(np.abs(final.values - ref_final)) < 1e-12
+        assert np.max(np.abs(np.asarray(log.energy) - energies)) < 1e-12 * np.max(
+            np.abs(energies))
+
+    @pytest.mark.parametrize("stride", [1, 8])
+    def test_one_convolution_per_step(self, stride, monkeypatch):
+        calls = []
+
+        def counting(f, kernel):
+            calls.append(1)
+            return convolution_self_potential(f, kernel)
+
+        monkeypatch.setattr(snsim.propagate, "convolution_self_potential", counting)
+        psi0 = gaussian_packet(SMALL, 0.7, 0.6)
+        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
+        evolve_kernel(psi0, FUSION_KERNEL, harmonic_external(SMALL, 1.0), spec, PHYS)
+        # one to open the run, then one per step; the energy reuses them
+        assert len(calls) == spec.n_steps + 1
+
+
 class TestImaginaryTime:
     def test_harmonic_ground_state(self):
         v_ext = harmonic_external(GRID, 1.0)
@@ -330,12 +410,6 @@ class TestSnapshots:
 
 
 class TestSchemeAndWarnings:
-    def test_linear_rejects_imaginary_scheme(self):
-        psi0, _ = coherent_state(GRID, 1.0, 0.0, 0.0, PHYS)
-        spec = EvolutionSpec(dt=1e-3, t_end=0.01, scheme="imaginary_time")
-        with pytest.raises(ConfigError):
-            evolve_linear(psi0, np.zeros(GRID.n_points), spec, PHYS)
-
     def test_sphere_validity_warning(self, caplog):
         # packet comparable to the sphere radius: the quadratic
         # expansion is out of its regime and must warn, not fail

@@ -42,6 +42,16 @@ class TestParseConfig:
             parse_config("scenario = figure1\nfoo = 1\n")
         assert any("unknown key 'foo'" in msg for msg in err.value.errors)
 
+    def test_removed_stepper_keys_rejected(self):
+        # the stepper has one scheme and one self-consistency rule, so
+        # neither is a config key
+        with pytest.raises(ConfigError) as err:
+            parse_config("scenario = figure1\nscheme = strang_split\n"
+                         "self_consistency = midpoint_predictor\n")
+        assert any("unknown key 'scheme'" in msg for msg in err.value.errors)
+        assert any("unknown key 'self_consistency'" in msg
+                   for msg in err.value.errors)
+
     def test_all_errors_reported(self):
         bad = "scenario = nowhere\nk_ext = -2\nn_points = 1000\nbogus = 3\n"
         with pytest.raises(ConfigError) as err:
@@ -131,6 +141,15 @@ class TestRunScenario:
         e2 = float(lines[1].split("\t")[2])
         assert e2 / e1 == pytest.approx(8.0, rel=0.01)
 
+    def test_choquard_rerun_identical(self, tmp_path):
+        cfg = parse_config("scenario = choquard\n")
+        tsv = tmp_path / "choquard_results.tsv"
+        run_scenario(cfg, tmp_path)
+        first = tsv.read_bytes()
+        run_scenario(cfg, tmp_path)
+        assert len(tsv.read_text().splitlines()) == 2
+        assert tsv.read_bytes() == first
+
 
 class TestSweep:
     def test_single_value_matches_run(self, tmp_path):
@@ -214,6 +233,30 @@ class TestCli:
         ])
         assert code == 0
         assert (tmp_path / "sw" / "sweep.tsv").exists()
+
+    def _sweep_rejected(self, tmp_path, capsys, param, values):
+        out = tmp_path / "sw"
+        code = main(["sweep", "--param", param, "--values", values,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+        # rejected before any member ran
+        assert not out.exists() or not any(out.iterdir())
+        return err
+
+    @pytest.mark.parametrize("values", ["10,10.0000001", "10,10"])
+    def test_sweep_shared_directory_rejected(self, tmp_path, capsys, values):
+        err = self._sweep_rejected(tmp_path, capsys, "stiffness_ratio", values)
+        assert "stiffness_ratio_10/" in err
+
+    def test_sweep_non_finite_rejected(self, tmp_path, capsys):
+        err = self._sweep_rejected(tmp_path, capsys, "stiffness_ratio", "nan,100")
+        assert "not finite" in err
+
+    def test_sweep_fractional_integer_rejected(self, tmp_path, capsys):
+        err = self._sweep_rejected(tmp_path, capsys, "n_points", "1024.5")
+        assert "integers" in err
 
     def test_sim_threads_env(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "fig.cfg"
