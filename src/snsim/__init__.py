@@ -25,6 +25,7 @@ from .errors import (
     DegenerateInputError,
     ExtractionError,
     GridMismatchError,
+    NonFiniteFieldError,
     SimulationError,
 )
 from .fields import (

@@ -40,6 +40,17 @@ class BoundaryLeakError(SimulationError):
         )
 
 
+class NonFiniteFieldError(SimulationError):
+    """A propagated field became NaN or infinite."""
+
+    def __init__(self, t):
+        self.t = t
+        super().__init__(
+            f"field values became non-finite by t={t:.6g}; reduce dt or "
+            f"check the potential"
+        )
+
+
 class ExtractionError(SimulationError):
     """Soliton extraction failed (ratio not supported by the pilot wave)."""
 

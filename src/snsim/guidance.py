@@ -22,7 +22,6 @@ samples and runs).
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -38,6 +37,7 @@ from .fields import (
     spectral_gradient,
 )
 from .potentials import PhysParams
+from .textio import float_row, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -354,14 +354,10 @@ def norm_rate_report(rows: Sequence[VelocityDecomposition]):
 
 def write_guidance_csv(rows: Sequence[VelocityDecomposition], path):
     """Machine-readable decomposition, one row per output time."""
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_COLUMNS + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in rows:
-            writer.writerow([
-                f"{v:.17g}" for v in (
-                    r.t, r.x0, r.v_drift, r.v_dbb, r.v_int, r.residual_p1,
-                    r.norm_sq_phi, r.a_l_sq_at_x0, r.p2_product,
-                    r.norm_rate_residual, r.width, r.valid_fraction,
-                )
-            ])
+    columns = list(zip(*(
+        (r.t, r.x0, r.v_drift, r.v_dbb, r.v_int, r.residual_p1,
+         r.norm_sq_phi, r.a_l_sq_at_x0, r.p2_product,
+         r.norm_rate_residual, r.width, r.valid_fraction)
+        for r in rows
+    )))
+    write_table(path, CSV_COLUMNS, float_row(len(columns), ","), columns)

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import Grid1D, WaveField
 from .potentials import HarmonicModelParams, PhysParams
+from .textio import float_row, write_table
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,7 @@ def write_series_csv(path, header: str, columns) -> None:
     """Comma CSV with 17 significant digits, same conventions as the
     guidance table, so oracle series plot side by side with it."""
     arrays = [np.asarray(c) for c in columns]
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, header, float_row(len(arrays), ","), arrays)
 
 
 def write_moment_csv(series: MomentSeries, path) -> None:

@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateInputError,
+    NonFiniteFieldError,
 )
 from .fields import Grid1D, WaveField, squared_norm
 from .potentials import (
@@ -40,6 +41,7 @@ from .potentials import (
     harmonic_external,
     sphere_validity_ratio,
 )
+from .textio import write_table
 
 logger = logging.getLogger(__name__)
 
@@ -176,6 +178,8 @@ class _Recorder:
         dx = self.grid.dx
         x = self.grid.nodes
         n2 = float(rho.sum() * dx)
+        if not math.isfinite(n2):
+            raise NonFiniteFieldError(t)
         peak = rho.max()
         if self.boundary_active and peak > 0:
             edge = max(rho[0], rho[-1])
@@ -227,8 +231,17 @@ def _evolve(
         half_ext = np.exp(half_factor * family.v_ext)
         static_phase = {1: half_ext, 2: half_ext * half_ext}
 
-    def evaluate(vals):
-        return None if static else family.self_potential(vals)
+    def evaluate(vals, step):
+        if static:
+            return None
+        try:
+            return family.self_potential(vals)
+        except ConfigError:
+            # a self potential may refuse non-finite values (the kernel
+            # family's WaveField does); report that as a blow-up at t
+            if np.isfinite(vals).all():
+                raise
+            raise NonFiniteFieldError(step * dt) from None
 
     def phase(v_self, halves):
         if static:
@@ -238,7 +251,7 @@ def _evolve(
     rec = _Recorder(grid, spec, phys, family)
     rec.baseline(psi0.values)
     vals = psi0.values.copy()
-    v_self = evaluate(vals)
+    v_self = evaluate(vals, 0)
     rec.record(0.0, vals, v_self)
     vals *= phase(v_self, 1)
     n_steps, stride = spec.n_steps, spec.output_stride
@@ -248,7 +261,7 @@ def _evolve(
         vals = np.fft.ifft(ft)
         # |psi| is the same on both sides of the potential step, so this
         # value closes this step and opens the next
-        v_self = evaluate(vals)
+        v_self = evaluate(vals, step)
         if step % stride and step < n_steps:
             vals *= phase(v_self, 2)
             continue
@@ -258,6 +271,8 @@ def _evolve(
             rec.record(step * dt, vals, v_self)
         if step < n_steps:
             vals *= half_phase
+    if n_steps % stride and not np.isfinite(vals).all():
+        raise NonFiniteFieldError(n_steps * dt)
     rec.log.diagnostics.update(dt=dt, n_steps=n_steps)
     return rec.log, WaveField(grid, vals)
 
@@ -348,11 +363,12 @@ def imaginary_time_relax(
 
     Each step applies the split imaginary-time factor
     exp(-V dtau/2) exp(-T dtau) exp(-V dtau/2) with the potential rebuilt
-    from the current field, then renormalizes to ``target_norm_sq``.  The
-    step is rejected and dtau halved whenever the monitored energy rises,
-    so the recorded energy history is non-increasing.  Convergence is a
-    relative energy change below ``tol`` on three consecutive accepted
-    steps.
+    from the current field, then renormalizes to ``target_norm_sq``.  A
+    step that raises the monitored energy beyond roundoff is rejected and
+    dtau halved; a roundoff-sized rise keeps the current state and counts
+    as a step of zero change.  So the recorded energy history is
+    non-increasing.  Convergence is a relative energy change below
+    ``tol`` on three consecutive steps.
 
     Returns the relaxed field, the eigenvalue <psi|H[psi]|psi>/<psi|psi>
     with the potential frozen at convergence, and the monitored energy
@@ -410,11 +426,17 @@ def imaginary_time_relax(
                     history,
                 )
             continue
-        rel = abs(e_new - energy) / max(abs(e_new), 1e-30)
-        vals = trial
-        pot = pot_trial
-        energy = e_new
-        history.append(energy)
+        if e_new > energy:
+            # a roundoff-sized rise: the level has stopped moving at this
+            # dtau, so count the step towards convergence but keep the
+            # lower state and leave the history non-increasing
+            rel = 0.0
+        else:
+            rel = abs(e_new - energy) / max(abs(e_new), 1e-30)
+            vals = trial
+            pot = pot_trial
+            energy = e_new
+            history.append(energy)
         if rel < tol:
             consecutive += 1
             if consecutive >= 3:
@@ -447,21 +469,27 @@ def write_snapshots(log: TrajectoryLog, out_dir) -> List[Path]:
     """Dump stored snapshots as text files snap_<index>.dat.
 
     Each file starts with a ``# t=<value>`` header followed by one
-    ``x re im`` triple per node.
+    ``x re im`` line per node, all at 17 significant digits, with LF
+    line endings.  Any ``snap_*.dat`` already in ``out_dir`` is removed
+    first, so a rerun with fewer frames leaves no stale files.
     """
     if log.fields is None:
         raise ConfigError("run was made with store_fields=False")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("snap_*.dat"):
+        stale.unlink()
+    row = "%s %.17g %.17g\n"
     paths = []
+    grid = x_cells = None
     for i, (t, fld) in enumerate(zip(log.times, log.fields)):
+        # the frames of a run share one grid: format its nodes once
+        if fld.grid != grid:
+            grid = fld.grid
+            x_cells = ["%.17g" % xi for xi in grid.nodes.tolist()]
         path = out / f"snap_{i:05d}.dat"
-        x = fld.grid.nodes
-        v = fld.values
-        with open(path, "w") as fh:
-            fh.write(f"# t={t:.17g}\n")
-            for xi, vi in zip(x, v):
-                fh.write(f"{xi:.17g} {vi.real:.17g} {vi.imag:.17g}\n")
+        write_table(path, f"# t={t:.17g}", row,
+                    (x_cells, fld.values.real, fld.values.imag))
         paths.append(path)
     return paths
 
@@ -474,4 +502,7 @@ def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray]:
             raise ConfigError(f"{path} is not a snapshot file")
         t = float(header[4:])
         data = np.loadtxt(fh, ndmin=2)
-    return t, data[:, 0], data[:, 1] + 1j * data[:, 2]
+    # assigned, not re + 1j*im: that product turns an imaginary -0.0 into 0.0
+    vals = data[:, 1].astype(complex)
+    vals.imag = data[:, 2]
+    return t, data[:, 0], vals

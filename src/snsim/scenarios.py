@@ -67,6 +67,7 @@ from .propagate import (
     imaginary_time_relax,
     write_snapshots,
 )
+from .textio import float_row, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -829,11 +830,8 @@ def build_custom(cfg: ScenarioConfig):
 
 
 def _write_trajectory_tsv(log, path):
-    times, mean_x, mean_x2, norm_sq, energy = log.as_arrays()
-    with open(path, "w") as fh:
-        fh.write("t\tmean_x\tmean_x2\tnorm_sq\tenergy\n")
-        for row in zip(times, mean_x, mean_x2, norm_sq, energy):
-            fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, "t\tmean_x\tmean_x2\tnorm_sq\tenergy",
+                float_row(5, "\t"), log.as_arrays())
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunReport:

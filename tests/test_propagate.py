@@ -6,6 +6,8 @@ from snsim.errors import (
     ConfigError,
     ConvergenceError,
     DegenerateInputError,
+    NonFiniteFieldError,
+    SimulationError,
 )
 from snsim.fields import Grid1D, WaveField, gaussian_packet, moments
 from snsim.oracles import GaussianMoments, coherent_state, gaussian_moment_flow
@@ -29,6 +31,7 @@ from snsim.propagate import (
     read_snapshot,
     write_snapshots,
 )
+from snsim.scenarios import ScenarioConfig, build_ground_state
 
 GRID = Grid1D(2048, -24.0, 24.0)
 PHYS = PhysParams()
@@ -385,6 +388,14 @@ class TestImaginaryTime:
         history = np.asarray(result.history)
         assert np.all(np.diff(history) <= 1e-14 * np.abs(history[:-1]) + 1e-30)
 
+    def test_roundoff_rise_keeps_history_non_increasing(self):
+        # at this stiffness one relaxation step raised the energy by
+        # 1.6e-15, and the ground-state report failed energy-monotone
+        result = build_ground_state(
+            ScenarioConfig(scenario="ground-state", k_self=6.047831353619284))
+        assert result.metrics["energy_increase"] == 0.0
+        assert all(c.passed for c in result.checks())
+
     def test_non_convergence_raises(self):
         v_ext = harmonic_external(GRID, 1.0)
         seed = gaussian_packet(GRID, 0.0, 2.0)
@@ -392,6 +403,56 @@ class TestImaginaryTime:
             imaginary_time_relax(seed, lambda f: v_ext, 1.0, tol=1e-30,
                                  phys=PHYS, max_iters=5)
         assert len(err.value.history) > 0
+
+
+class TestNonFinite:
+    """A NaN planted in v_ext must stop the run at a named time."""
+
+    SPEC = EvolutionSpec(dt=1e-2, t_end=0.2, output_stride=5,
+                         store_fields=False)
+
+    @staticmethod
+    def _v_ext():
+        v_ext = harmonic_external(SMALL, 1.0)
+        v_ext[100] = np.nan
+        return v_ext
+
+    def _raises_at(self, t, run):
+        with pytest.raises(NonFiniteFieldError) as err:
+            run()
+        assert err.value.t == pytest.approx(t)
+        # a SimulationError that is not a ConfigError: the CLI exits 1
+        assert isinstance(err.value, SimulationError)
+        assert not isinstance(err.value, ConfigError)
+
+    @pytest.mark.parametrize("store_fields", [False, True])
+    def test_static(self, store_fields):
+        spec = EvolutionSpec(dt=1e-2, t_end=0.2, output_stride=5,
+                             store_fields=store_fields)
+        psi0 = gaussian_packet(SMALL, 0.0, 1.0)
+        # the first output after the NaN enters is at one stride
+        self._raises_at(0.05, lambda: evolve_linear(psi0, self._v_ext(), spec))
+
+    def test_after_last_output(self):
+        # 20 steps at stride 30 record only t = 0; the end of the run
+        # still names the blow-up
+        spec = EvolutionSpec(dt=1e-2, t_end=0.2, output_stride=30)
+        psi0 = gaussian_packet(SMALL, 0.0, 1.0)
+        self._raises_at(0.2, lambda: evolve_linear(psi0, self._v_ext(), spec))
+
+    def test_mean_field(self, monkeypatch):
+        monkeypatch.setattr(snsim.propagate, "harmonic_external",
+                            lambda grid, k: self._v_ext())
+        psi0 = gaussian_packet(SMALL, 0.0, 1.0)
+        self._raises_at(0.05, lambda: evolve_self_harmonic(
+            psi0, FUSION_MODEL, self.SPEC))
+
+    def test_kernel(self):
+        # the per-step WaveField of the convolution refuses the NaN one
+        # step in, before the first output
+        psi0 = gaussian_packet(SMALL, 0.0, 1.0)
+        self._raises_at(0.01, lambda: evolve_kernel(
+            psi0, FUSION_KERNEL, self._v_ext(), self.SPEC))
 
 
 class TestSnapshots:
