@@ -5,7 +5,6 @@
     snsim check [--out DIR]
 
 Exit status is 0 exactly when every check of the invocation passed.
-The SIM_THREADS environment variable overrides --jobs for sweeps.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -67,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--scenario", default=None, choices=SCENARIOS)
     p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="concurrent runs (SIM_THREADS overrides)")
+                         help="concurrent runs")
 
     p_check = sub.add_parser("check", help="run the full acceptance suite")
     p_check.add_argument("--out", default=None,
@@ -97,14 +95,8 @@ def main(argv=None) -> int:
                 values = [float(v) for v in args.values.split(",") if v.strip()]
             except ValueError:
                 raise ConfigError("--values must be comma-separated numbers")
-            jobs = args.jobs
-            env_jobs = os.environ.get("SIM_THREADS")
-            if env_jobs:
-                try:
-                    jobs = int(env_jobs)
-                except ValueError:
-                    raise ConfigError("SIM_THREADS must be an integer")
-            rows, all_passed = sweep(cfg, args.param, values, args.out, jobs)
+            rows, all_passed = sweep(cfg, args.param, values, args.out,
+                                     args.jobs)
             for value, report, err in rows:
                 if report is None:
                     print(f"{args.param}={value:g}: ERROR {err}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -213,18 +213,10 @@ def decompose_run(
     pilot_fields: Sequence[WaveField],
     full_fields: Sequence[WaveField],
     phys: PhysParams = PhysParams(),
-    velocity_perturbation: Optional[Callable[[float, float], float]] = None,
-    collect_crossterms: bool = False,
-):
+) -> List[VelocityDecomposition]:
     """Full guidance analysis over one run's snapshot series.
 
-    Returns the list of VelocityDecomposition rows; with
-    ``collect_crossterms`` also a list of dicts sizing the barycentre-
-    frozen approximations (the terms the velocity law neglects).
-
-    ``velocity_perturbation`` is an experimental hook for stochastic
-    velocity studies: called as f(t, v_drift) it returns an additive
-    perturbation to the recorded drift.  It ships disabled (None).
+    Returns one VelocityDecomposition row per output time.
     """
     if not (len(times) == len(pilot_fields) == len(full_fields)):
         raise ExtractionError("times and snapshot series differ in length")
@@ -247,10 +239,6 @@ def decompose_run(
     a_l_sq = a_l_at_x0**2
 
     vdrift = v_drift_series(times, x0s)
-    if velocity_perturbation is not None:
-        vdrift = vdrift + np.array(
-            [velocity_perturbation(t, v) for t, v in zip(times, vdrift)]
-        )
     residual_p1 = vdrift - (vdbbs + vints)
 
     p2_raw = norms * a_l_sq
@@ -282,12 +270,6 @@ def decompose_run(
         for i in range(len(times))
     ]
     _report_stability(rows)
-    if collect_crossterms:
-        cross = [
-            _crossterm_sizes(pa, grid, s, phys)
-            for pa, s in zip(pas, states)
-        ]
-        return rows, cross
     return rows
 
 
@@ -300,36 +282,6 @@ def _report_stability(rows: List[VelocityDecomposition]):
             "soliton width grew to %.3g times its initial value; the "
             "peaked-soliton assumption is degrading", worst / w0
         )
-
-
-def _crossterm_sizes(pa: PhaseAmplitude, grid, state: SolitonState,
-                     phys: PhysParams) -> dict:
-    """Sizes of the terms dropped by freezing pilot data at the barycentre.
-
-    Both compare a full quadrature against its barycentre-frozen value:
-    the phase-Laplacian moment and the log-amplitude-gradient flux term.
-    """
-    phi = state.phi.values
-    rho = phi.real**2 + phi.imag**2
-    dx = grid.dx
-    x = grid.nodes
-    scale = phys.hbar / phys.mass
-    lap_local = float((pa.phase_laplacian * rho * x).sum() * dx)
-    lap_frozen = (
-        _interp_valid(grid, pa.phase_laplacian, pa.valid, state.x0)
-        * state.x0 * state.norm_sq
-    )
-    dphi = spectral_gradient(state.phi).values
-    current = (np.conj(phi) * dphi).imag  # |phi|^2 grad(arg phi)
-    flux_local = float((pa.log_amp_gradient * x * current).sum() * dx)
-    flux_frozen = (
-        _interp_valid(grid, pa.log_amp_gradient, pa.valid, state.x0)
-        * state.x0 * float(current.sum() * dx)
-    )
-    return {
-        "crossterm_laplacian": scale * (lap_local - lap_frozen) / state.norm_sq,
-        "crossterm_log_amp": 2.0 * scale * (flux_local - flux_frozen) / state.norm_sq,
-    }
 
 
 def guidance_law_report(rows: Sequence[VelocityDecomposition]):

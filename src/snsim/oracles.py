@@ -1,28 +1,37 @@
 """Independent reference solutions used to validate the grid solvers.
 
+Under a quadratic trap both references are exactly solvable, so they are
+evaluated in closed form.  With S(w, t) = sin(w t)/w (t when w = 0) and
+c = cos(w t):
+
+Classical trajectory
+--------------------
+m x'' = -k x with w = sqrt(k/m):
+
+    x(t) = x0 c + v0 S(w, t),   v(t) = v0 c - (k/m) x0 S(w, t)
+
 Gaussian moment flow
 --------------------
-The trapped-sphere model keeps Gaussian states Gaussian, so its dynamics
-closes on four numbers: mean <x>, mean momentum <p>, variance
-s = <x^2> - <x>^2 and the variance rate ds/dt = 2C/m where
-C = Re<(x-<x>)(p-<p>)>.  With K = k_ext + k_self and a pure state
-(s * Pi - C^2 = hbar^2/4, Pi = <(p-<p>)^2>, conserved by the flow):
+The trapped-sphere model keeps Gaussian states Gaussian: the mean feels
+only the external trap (the self term exerts zero mean force) and the
+fluctuation x - <x> feels the combined stiffness K = k_ext + k_self, both
+linearly.  Let w_e = sqrt(k_ext/m), c_e = cos(w_e t), w = sqrt(K/m),
+c = cos(w t), s = <x^2> - <x>^2 the variance, C = Re<(x-<x>)(p-<p>)>
+(so ds/dt = 2C/m) and, for a pure state, Pi = <(p-<p>)^2>
+= (hbar^2/4 + C^2)/s; subscript 0 marks t = 0.  Then
 
-    d<x>/dt = <p>/m
-    d<p>/dt = -k_ext <x>          (the self term exerts zero mean force)
-    ds/dt   = 2C/m
-    dC/dt   = Pi/m - K s,   Pi = (hbar^2/4 + C^2)/s
+    <x>(t) = x0 c_e + (p0/m) S(w_e, t)
+    <p>(t) = p0 c_e - k_ext x0 S(w_e, t)
+    s(t)   = s0 c^2 + (2 C0/m) c S(w, t) + (Pi0/m^2) S(w, t)^2
 
-The mean feels only the external trap; the width feels the combined
-stiffness K and breathes around s* = hbar/(2 sqrt(K m)) at frequency
-2 sqrt(K/m).  The closure is exact, so any disagreement with the grid
-solver beyond tolerance indicates a solver bug, not model error.
+The width breathes around s* = hbar/(2 sqrt(K m)) at frequency 2w.  The
+closure is exact, so any disagreement with the grid solver beyond
+tolerance indicates a solver bug, not model error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -64,21 +73,16 @@ class MomentSeries:
     variance: np.ndarray
     variance_rate: np.ndarray
 
-    def at(self, i: int) -> GaussianMoments:
-        return GaussianMoments(
-            float(self.mean[i]),
-            float(self.momentum[i]),
-            float(self.variance[i]),
-            float(self.variance_rate[i]),
-        )
+
+def _output_times(dt: float, t_end: float) -> np.ndarray:
+    if dt <= 0.0 or t_end <= 0.0:
+        raise ConfigError("dt and t_end must be positive")
+    return dt * np.arange(int(round(t_end / dt)) + 1)
 
 
-def _rk4_step(f, y, h):
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _sin_over(omega: float, t: np.ndarray) -> np.ndarray:
+    """sin(omega t) / omega, equal to t at omega = 0."""
+    return t * np.sinc(omega * t / np.pi)
 
 
 def gaussian_moment_flow(
@@ -88,31 +92,22 @@ def gaussian_moment_flow(
     dt: float,
     t_end: float,
 ) -> MomentSeries:
-    """Integrate the closed moment system with fixed-step RK4."""
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ConfigError("dt and t_end must be positive")
+    """The exact moment flow at t = 0, dt, ..., t_end."""
+    times = _output_times(dt, t_end)
     m = phys.mass
-    hbar = phys.hbar
-    k_total = model.k_ext + model.k_self
-
-    def rhs(y):
-        mean, mom, var, var_rate = y
-        if var <= 0.0:
-            raise ConfigError("moment flow reached non-positive variance")
-        c = 0.5 * m * var_rate
-        pi2 = (0.25 * hbar * hbar + c * c) / var
-        dc = pi2 / m - k_total * var
-        return np.array([mom / m, -model.k_ext * mean, var_rate, 2.0 * dc / m])
-
-    n_steps = int(round(t_end / dt))
-    y = np.array([init.mean, init.momentum, init.variance, init.variance_rate])
-    out = np.empty((n_steps + 1, 4))
-    out[0] = y
-    for i in range(n_steps):
-        y = _rk4_step(rhs, y, dt)
-        out[i + 1] = y
-    times = dt * np.arange(n_steps + 1)
-    return MomentSeries(times, out[:, 0], out[:, 1], out[:, 2], out[:, 3])
+    omega_e = np.sqrt(model.k_ext / m)
+    omega = np.sqrt((model.k_ext + model.k_self) / m)
+    c_e, s_e = np.cos(omega_e * times), _sin_over(omega_e, times)
+    c, s = np.cos(omega * times), _sin_over(omega, times)
+    s0 = init.variance
+    c0 = 0.5 * m * init.variance_rate
+    pi0 = (0.25 * phys.hbar**2 + c0 * c0) / s0
+    mean = init.mean * c_e + init.momentum / m * s_e
+    momentum = init.momentum * c_e - model.k_ext * init.mean * s_e
+    variance = s0 * c * c + 2.0 * c0 / m * c * s + pi0 / (m * m) * s * s
+    variance_rate = (2.0 * (pi0 / (m * m) - omega**2 * s0) * c * s
+                     + 2.0 * c0 / m * (c * c - omega**2 * s * s))
+    return MomentSeries(times, mean, momentum, variance, variance_rate)
 
 
 def coherent_state(
@@ -158,37 +153,23 @@ def coherent_state(
 
 def classical_trajectory(
     init: ClassicalState,
-    force: Union[float, Callable[[float], float]],
+    k: float,
     dt: float,
     t_end: float,
     mass: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 integration of m x'' = F(x).
+    """Exact (times, x, v) of m x'' = -k x at t = 0, dt, ..., t_end.
 
-    ``force`` is either a callable F(x) or a stiffness k_ext, which is
-    shorthand for the trap force F(x) = -k_ext x.  For quadratic traps
-    this is the exact reference for the mean motion of any wave solution.
+    For quadratic traps this is the exact reference for the mean motion
+    of any wave solution.
     """
-    if dt <= 0.0 or t_end <= 0.0:
-        raise ConfigError("dt and t_end must be positive")
-    if callable(force):
-        f = force
-    else:
-        k = float(force)
-        f = lambda x: -k * x
-
-    def rhs(y):
-        return np.array([y[1], f(y[0]) / mass])
-
-    n_steps = int(round(t_end / dt))
-    y = np.array([init.position, init.velocity], dtype=float)
-    xs = np.empty(n_steps + 1)
-    vs = np.empty(n_steps + 1)
-    xs[0], vs[0] = y
-    for i in range(n_steps):
-        y = _rk4_step(rhs, y, dt)
-        xs[i + 1], vs[i + 1] = y
-    times = dt * np.arange(n_steps + 1)
+    if k < 0.0:
+        raise ConfigError("the trap stiffness must be >= 0")
+    times = _output_times(dt, t_end)
+    omega = np.sqrt(k / mass)
+    c, s = np.cos(omega * times), _sin_over(omega, times)
+    xs = init.position * c + init.velocity * s
+    vs = init.velocity * c - k / mass * init.position * s
     return times, xs, vs
 
 
@@ -198,11 +179,3 @@ def write_series_csv(path, header: str, columns) -> None:
     arrays = [np.asarray(c) for c in columns]
     write_table(path, header, float_row(len(arrays), ","), arrays)
 
-
-def write_moment_csv(series: MomentSeries, path) -> None:
-    write_series_csv(
-        path,
-        "t,mean,momentum,variance,variance_rate",
-        (series.times, series.mean, series.momentum, series.variance,
-         series.variance_rate),
-    )

@@ -355,7 +355,7 @@ def imaginary_time_relax(
     target_norm_sq: float,
     tol: float = 1e-10,
     phys: PhysParams = PhysParams(),
-    energy_fn: Optional[Callable[[WaveField], float]] = None,
+    energy_fn: Optional[Callable[[WaveField, np.ndarray], float]] = None,
     dt0: Optional[float] = None,
     max_iters: int = 200_000,
 ) -> RelaxResult:
@@ -372,9 +372,9 @@ def imaginary_time_relax(
 
     Returns the relaxed field, the eigenvalue <psi|H[psi]|psi>/<psi|psi>
     with the potential frozen at convergence, and the monitored energy
-    (for nonlinear problems the two differ; pass ``energy_fn`` to monitor
-    the true energy functional, otherwise the eigenvalue quotient is
-    used).
+    (for nonlinear problems the two differ; pass ``energy_fn``, called
+    with a field and the potential built from it, to monitor the true
+    energy functional, otherwise the eigenvalue quotient is used).
     """
     if target_norm_sq <= 0.0:
         raise ConfigError("target_norm_sq must be positive")
@@ -394,7 +394,7 @@ def imaginary_time_relax(
 
     def monitored(v, pot):
         if energy_fn is not None:
-            return energy_fn(WaveField(grid, v))
+            return energy_fn(WaveField(grid, v), pot)
         return rayleigh(v, pot)
 
     dtau = dt0 if dt0 is not None else 0.1
@@ -465,6 +465,12 @@ def imaginary_time_relax(
     return RelaxResult(final, eigenvalue, energy, iters, history)
 
 
+def remove_snapshots(out_dir) -> None:
+    """Delete every ``snap_*.dat`` in ``out_dir`` and nothing else."""
+    for stale in Path(out_dir).glob("snap_*.dat"):
+        stale.unlink()
+
+
 def write_snapshots(log: TrajectoryLog, out_dir) -> List[Path]:
     """Dump stored snapshots as text files snap_<index>.dat.
 
@@ -477,8 +483,7 @@ def write_snapshots(log: TrajectoryLog, out_dir) -> List[Path]:
         raise ConfigError("run was made with store_fields=False")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for stale in out.glob("snap_*.dat"):
-        stale.unlink()
+    remove_snapshots(out)
     row = "%s %.17g %.17g\n"
     paths = []
     grid = x_cells = None

@@ -45,9 +45,9 @@ from .guidance import (
 from .oracles import (
     ClassicalState,
     GaussianMoments,
+    MomentSeries,
     classical_trajectory,
     gaussian_moment_flow,
-    write_moment_csv,
     write_series_csv,
 )
 from .potentials import (
@@ -55,23 +55,26 @@ from .potentials import (
     PhysParams,
     harmonic_external,
     load_kernel_table,
+    self_harmonic,
     self_stiffness,
     sphere_quadratic_kernel,
     validate_self_stiffness,
 )
 from .propagate import (
     EvolutionSpec,
+    TrajectoryLog,
+    _kinetic_energy,
     evolve_kernel,
     evolve_linear,
     evolve_self_harmonic,
     imaginary_time_relax,
+    remove_snapshots,
     write_snapshots,
 )
 from .textio import float_row, write_table
 
 logger = logging.getLogger(__name__)
 
-SCENARIOS = ("figure1", "ground-state", "choquard", "ehrenfest", "boost", "custom")
 KERNELS = ("none", "sphere-quadratic", "custom-table")
 
 # acceptance tolerances for the oscillating-soliton run
@@ -332,6 +335,14 @@ def _resolve_model(cfg: ScenarioConfig, default_k_ext, default_ratio=None,
     return model
 
 
+def _require_outputs(n_steps: int, stride: int, needed: int, check: str):
+    """Refuse a stride that leaves a check fewer output times than it reads."""
+    n_out = n_steps // stride + 1
+    if n_out < needed:
+        raise ConfigError(f"output_stride = {stride} leaves {n_out} output "
+                          f"times in {n_steps} steps; {check} needs {needed}")
+
+
 def _second_derivative_5pt(series: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order interior second derivative; loses two points per end."""
     s = np.asarray(series, dtype=float)
@@ -354,8 +365,8 @@ class Figure1Result:
     full_final: WaveField
     rows: list
     metrics: dict
-    moment_flow: object = None
-    classical: tuple = None
+    moment_flow: MomentSeries  # both oracles at the output times
+    classical: np.ndarray
 
     def checks(self) -> List[CheckResult]:
         m = self.metrics
@@ -410,6 +421,7 @@ def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
     dt_nominal = cfg.dt if cfg.dt is not None else 2.0 * math.pi / (200.0 * omega_fast)
     n_steps = max(3, math.ceil(t_end / dt_nominal - 1e-9))
     dt = t_end / n_steps
+    _require_outputs(n_steps, cfg.output_stride, 5, "the mean-motion check")
     spec = EvolutionSpec(dt=dt, t_end=t_end, output_stride=cfg.output_stride,
                          store_fields=True)
 
@@ -434,28 +446,27 @@ def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
     p2_max, _ = reciprocity_report(rows)
     nr_max, _ = norm_rate_report(rows)
 
-    # exact-closure oracle, integrated at a tenth of the output stride
+    # both oracles are exact, so they are evaluated at the output times
     m0 = moments(full0, hbar=phys.hbar)
     init = GaussianMoments(m0.mean, m0.momentum, m0.variance,
                            2.0 * m0.covariance / phys.mass)
     stride_dt = times[1] - times[0]
-    flow = gaussian_moment_flow(init, model, phys, stride_dt / 10.0, t_end)
-    mean_o = flow.mean[::10]
-    var_o = flow.variance[::10]
+    flow = gaussian_moment_flow(init, model, phys, stride_dt, times[-1])
     mean_g = np.asarray(full_log.mean_x)
     var_g = np.asarray(full_log.mean_x2) - mean_g**2
-    oracle_mean_dev = float(np.max(np.abs(mean_g - mean_o)) / np.max(np.abs(mean_o)))
-    oracle_var_dev = float(np.max(np.abs(var_g - var_o)) / np.max(np.abs(var_o)))
+    oracle_mean_dev = float(np.max(np.abs(mean_g - flow.mean))
+                            / np.max(np.abs(flow.mean)))
+    oracle_var_dev = float(np.max(np.abs(var_g - flow.variance))
+                           / np.max(np.abs(flow.variance)))
 
     # classical reference for the soliton barycentre
     x0s = np.array([r.x0 for r in rows])
-    vdrift0 = rows[0].v_drift
     _, xs_cl, _ = classical_trajectory(
-        ClassicalState(x0s[0], vdrift0), model.k_ext, stride_dt / 10.0, t_end,
-        mass=phys.mass,
+        ClassicalState(x0s[0], rows[0].v_drift), model.k_ext, stride_dt,
+        times[-1], mass=phys.mass,
     )
     amplitude = float(np.max(np.abs(x0s)))
-    classical_dev = float(np.max(np.abs(x0s - xs_cl[::10])) / amplitude)
+    classical_dev = float(np.max(np.abs(x0s - xs_cl)) / amplitude)
 
     # mean-motion law of the full wave: m <x>'' + k_ext <x> = 0
     acc = _second_derivative_5pt(mean_g, stride_dt)
@@ -484,10 +495,9 @@ def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
         "max_v_drift": float(np.max(np.abs([r.v_drift for r in rows]))),
         "soliton_width0": rows[0].width,
     }
-    classical = (times, xs_cl[::10])
     return Figure1Result(cfg, phys, model, grid, spec, times, pilot_log,
                          full_log, pilot_final, full_final, rows, metrics,
-                         moment_flow=flow, classical=classical)
+                         flow, xs_cl)
 
 
 @dataclass
@@ -532,6 +542,7 @@ def build_boost(cfg: ScenarioConfig) -> BoostResult:
     n_steps = math.ceil(t_end / (cfg.dt if cfg.dt is not None else period / 2000.0) - 1e-9)
     dt = t_end / n_steps
     stride = cfg.output_stride if cfg.output_stride != 1 else max(1, n_steps // 50)
+    _require_outputs(n_steps, stride, 2, "the boost velocity")
     spec = EvolutionSpec(dt=dt, t_end=t_end, output_stride=stride,
                          store_fields=True)
 
@@ -606,32 +617,18 @@ def build_ground_state(cfg: ScenarioConfig) -> GroundStateResult1D:
                            hbar=phys.hbar, mass=phys.mass)
 
     v_ext = harmonic_external(grid, model.k_ext)
-    x = grid.nodes
-    dx = grid.dx
 
-    def potential_builder(f: WaveField) -> np.ndarray:
-        if model.k_self == 0.0:
-            return v_ext
-        rho = np.abs(f.values) ** 2
-        xbar = float((rho * x).sum() / rho.sum())
-        return v_ext + 0.5 * model.k_self * (x - xbar) ** 2
+    def potential(f: WaveField) -> np.ndarray:
+        return v_ext + self_harmonic(f, model)
 
-    def energy_fn(f: WaveField) -> float:
-        from .propagate import _kinetic_energy
+    def energy(f: WaveField, pot: np.ndarray) -> float:
+        # the stepper's mean-field rule: weight 1 on int V |psi|^2 dx
+        return (_kinetic_energy(f.values, grid, phys)
+                + float(np.sum(pot * np.abs(f.values) ** 2) * grid.dx))
 
-        rho = np.abs(f.values) ** 2
-        n2 = float(rho.sum() * dx)
-        xbar = float((rho * x).sum() * dx / n2)
-        var = float((rho * (x - xbar) ** 2).sum() * dx / n2)
-        return (
-            _kinetic_energy(f.values, grid, phys)
-            + float(np.sum(v_ext * rho) * dx)
-            + 0.5 * model.k_self * n2 * var
-        )
-
-    result = imaginary_time_relax(seed, potential_builder, phys.norm_sq,
+    result = imaginary_time_relax(seed, potential, phys.norm_sq,
                                   tol=cfg.relax_tol, phys=phys,
-                                  energy_fn=energy_fn)
+                                  energy_fn=energy)
     m = moments(result.field, hbar=phys.hbar)
     a_meas = math.sqrt(2.0 * m.variance)
     width_dev = abs(a_meas / a_pred - 1.0)
@@ -757,6 +754,7 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     n_steps = math.ceil(t_end / dt_nominal - 1e-9)
     dt = t_end / n_steps
     stride = cfg.output_stride if cfg.output_stride != 1 else max(1, n_steps // 200)
+    _require_outputs(n_steps, stride, 5, "the mean-motion check")
     spec = EvolutionSpec(dt=dt, t_end=t_end, output_stride=stride,
                          store_fields=False)
     width = cfg.init_width if cfg.init_width is not None else 1.0
@@ -795,7 +793,19 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     return EhrenfestResult(cfg, phys, metrics)
 
 
-def build_custom(cfg: ScenarioConfig):
+@dataclass
+class CustomResult:
+    cfg: ScenarioConfig
+    log: TrajectoryLog
+    final: WaveField
+    metrics: dict
+
+    def checks(self) -> List[CheckResult]:
+        return [_check("norm-conservation", self.metrics["norm_drift"],
+                       NORM_DRIFT_TOL)]
+
+
+def build_custom(cfg: ScenarioConfig) -> CustomResult:
     """Generic single-wave run driven entirely by the config."""
     phys = _resolve_phys(cfg)
     required = {"n_points": cfg.n_points, "x_min": cfg.x_min,
@@ -824,14 +834,72 @@ def build_custom(cfg: ScenarioConfig):
         log, final = evolve_linear(psi0, v_ext, spec, phys)
     norms = np.asarray(log.norm_sq)
     norm_drift = float(np.max(np.abs(norms - norms[0]) / norms[0]))
-    metrics = {"norm_drift": norm_drift}
-    checks = [_check("norm-conservation", norm_drift, NORM_DRIFT_TOL)]
-    return log, final, metrics, checks
+    return CustomResult(cfg, log, final, {"norm_drift": norm_drift})
+
+
+def _snapshots(cfg: ScenarioConfig, *runs) -> List[Path]:
+    """Write each (log, directory) run's snapshots, or with snapshots off
+    remove an earlier run's, so a rerun leaves no stale frames."""
+    paths = []
+    for log, directory in runs:
+        if cfg.snapshots:
+            paths += write_snapshots(log, directory)
+        else:
+            remove_snapshots(directory)
+    return paths
+
+
+def _write_figure1(result: Figure1Result, out: Path) -> List[Path]:
+    flow = result.moment_flow
+    paths = [out / "guidance.csv", out / "oracle_moments.csv",
+             out / "classical.csv"]
+    write_guidance_csv(result.rows, paths[0])
+    # the oracle tables share the guidance table's t column
+    write_series_csv(paths[1], "t,mean,momentum,variance,variance_rate",
+                     (result.times, flow.mean, flow.momentum, flow.variance,
+                      flow.variance_rate))
+    write_series_csv(paths[2], "t,x_classical",
+                     (result.times, result.classical))
+    return paths + _snapshots(result.cfg, (result.pilot_log, out / "pilot"),
+                              (result.full_log, out / "full"))
+
+
+def _write_choquard(result: ChoquardScenarioResult, out: Path) -> List[Path]:
+    tsv = out / "choquard_results.tsv"
+    # the record appends, so a rerun into the same directory starts over
+    tsv.unlink(missing_ok=True)
+    for r in result.results:
+        append_result_record(tsv, r)
+    return [tsv]
 
 
 def _write_trajectory_tsv(log, path):
     write_table(path, "t\tmean_x\tmean_x2\tnorm_sq\tenergy",
                 float_row(5, "\t"), log.as_arrays())
+
+
+def _write_custom(result: CustomResult, out: Path) -> List[Path]:
+    tsv = out / "trajectory.tsv"
+    _write_trajectory_tsv(result.log, tsv)
+    return [tsv] + _snapshots(result.cfg, (result.log, out / "snapshots"))
+
+
+def _write_nothing(result, out: Path) -> List[Path]:
+    return []
+
+
+# scenario -> (builder, writer).  Builders are named, not bound, and
+# looked up in this module when a scenario runs, so rebinding one (a test
+# double, a tracing wrapper) takes effect.
+_SCENARIO_TABLE = {
+    "figure1": ("build_figure1", _write_figure1),
+    "ground-state": ("build_ground_state", _write_nothing),
+    "choquard": ("build_choquard", _write_choquard),
+    "ehrenfest": ("build_ehrenfest", _write_nothing),
+    "boost": ("build_boost", _write_nothing),
+    "custom": ("build_custom", _write_custom),
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunReport:
@@ -842,55 +910,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunReport:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    outputs: List[str] = []
-
-    if cfg.scenario == "figure1":
-        result = build_figure1(cfg)
-        csv_path = out / "guidance.csv"
-        write_guidance_csv(result.rows, csv_path)
-        outputs.append(str(csv_path))
-        moments_path = out / "oracle_moments.csv"
-        write_moment_csv(result.moment_flow, moments_path)
-        outputs.append(str(moments_path))
-        classical_path = out / "classical.csv"
-        write_series_csv(classical_path, "t,x_classical", result.classical)
-        outputs.append(str(classical_path))
-        if cfg.snapshots:
-            outputs += [str(p) for p in write_snapshots(result.pilot_log, out / "pilot")]
-            outputs += [str(p) for p in write_snapshots(result.full_log, out / "full")]
-        checks = result.checks()
-        metrics = result.metrics
-    elif cfg.scenario == "boost":
-        result = build_boost(cfg)
-        checks = result.checks()
-        metrics = result.metrics
-    elif cfg.scenario == "ground-state":
-        result = build_ground_state(cfg)
-        checks = result.checks()
-        metrics = result.metrics
-    elif cfg.scenario == "choquard":
-        result = build_choquard(cfg)
-        tsv = out / "choquard_results.tsv"
-        # the record appends, so a rerun into the same directory starts over
-        tsv.unlink(missing_ok=True)
-        for r in result.results:
-            append_result_record(tsv, r)
-        outputs.append(str(tsv))
-        checks = result.checks()
-        metrics = result.metrics
-    elif cfg.scenario == "ehrenfest":
-        result = build_ehrenfest(cfg)
-        checks = result.checks()
-        metrics = result.metrics
-    elif cfg.scenario == "custom":
-        log, final, metrics, checks = build_custom(cfg)
-        tsv = out / "trajectory.tsv"
-        _write_trajectory_tsv(log, tsv)
-        outputs.append(str(tsv))
-        if cfg.snapshots:
-            outputs += [str(p) for p in write_snapshots(log, out / "snapshots")]
-    else:
-        raise ConfigError(f"unknown scenario '{cfg.scenario}'")
+    builder, writer = _SCENARIO_TABLE[cfg.scenario]
+    result = globals()[builder](cfg)
+    outputs = [str(path) for path in writer(result, out)]
+    checks = result.checks()
+    metrics = result.metrics
 
     wall = time.perf_counter() - start
     report = RunReport(cfg.scenario, checks, metrics, wall, outputs)

@@ -5,6 +5,8 @@ reads as the acceptance report.  Heavy runs are shared across criteria
 through the session-scoped context.
 """
 
+import re
+
 import pytest
 
 from snsim.acceptance import (
@@ -18,6 +20,7 @@ from snsim.acceptance import (
     _criterion_7,
     _criterion_8,
     _criterion_9,
+    run_acceptance,
 )
 
 
@@ -83,6 +86,38 @@ def test_criterion_9_property_suite(ctx):
     # norm conservation 1e-10, linear time reversal 1e-8, interaction
     # scaling law 1e-10, gauge invariance 1e-12, second-order dt ratio
     _assert_all(_criterion_9(ctx))
+
+
+def test_check_lines_pinned(ctx):
+    # label, threshold and note of every `snsim check` line, in order;
+    # notes that carry a measured value are pinned by their format
+    e2 = r"\d\.\d\de[-+]\d\d"
+    expected = [
+        ("1-guidance-law", 0.02, ""),
+        ("2-reciprocity", 0.02, ""),
+        ("3a-classical-trajectory", 0.01, ""),
+        ("3b-ehrenfest-exact", 1e-5, ""),
+        ("4-norm-rate-law", 0.05, ""),
+        ("5a-choquard-e0", 0.1, "matched by eigenvalue energy"),
+        ("5b-choquard-scaling", 0.01, r"ratio \d\.\d{4}"),
+        ("6-oracle-equivalence", 1e-3, ""),
+        ("7-galilean-boost", 1e-4, f"velocity dev {e2}"),
+        ("8-sweep-monotonic", 0.0, f"10:{e2}, 100:{e2}, 1000:{e2}"),
+        ("9a-norm-conservation", 1e-10, ""),
+        ("9b-time-reversal", 1e-8, ""),
+        ("9c-scaling-law", 1e-10, ""),
+        ("9d-gauge-invariance", 1e-12, ""),
+        ("9e-dt-second-order", 4.5, re.escape("expected in [3.5, 4.5]")),
+    ]
+    results = run_acceptance(ctx, stream=None)
+    assert [c.name for c in results] == [e[0] for e in expected]
+    for check, (name, threshold, note) in zip(results, expected):
+        assert check.threshold == threshold, name
+        assert re.fullmatch(note, check.note), (name, check.note)
+    # the two criteria that merge checks report the worse one
+    fig, boost = ctx.figure1.metrics, ctx.boost.metrics
+    assert results[7].value == max(fig["oracle_mean_dev"], fig["oracle_var_dev"])
+    assert results[10].value == max(fig["norm_drift"], boost["norm_drift"])
 
 
 def test_runtime_budget(ctx):

@@ -265,28 +265,6 @@ class TestReports:
             )
             assert again == pytest.approx(row.residual_p1, abs=1e-12)
 
-    def test_perturbation_hook(self, small_figure1):
-        fig = small_figure1
-        rows_off = decompose_run(fig.times, fig.pilot_log.fields,
-                                 fig.full_log.fields, fig.phys)
-        rows_on = decompose_run(fig.times, fig.pilot_log.fields,
-                                fig.full_log.fields, fig.phys,
-                                velocity_perturbation=lambda t, v: 0.25)
-        for a, b, c in zip(fig.rows, rows_off, rows_on):
-            assert a.v_drift == b.v_drift
-            assert c.v_drift == pytest.approx(a.v_drift + 0.25, abs=1e-15)
-
-    def test_crossterm_diagnostics(self, small_figure1):
-        fig = small_figure1
-        rows, cross = decompose_run(fig.times, fig.pilot_log.fields,
-                                    fig.full_log.fields, fig.phys,
-                                    collect_crossterms=True)
-        assert len(cross) == len(rows)
-        vmax = max(abs(r.v_drift) for r in rows)
-        for entry in cross:
-            assert abs(entry["crossterm_laplacian"]) < 0.05 * vmax
-            assert abs(entry["crossterm_log_amp"]) < 0.05 * vmax
-
 
 class TestCsv:
     def test_schema_and_values(self, small_figure1, tmp_path):

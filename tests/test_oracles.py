@@ -15,6 +15,70 @@ from snsim.potentials import HarmonicModelParams
 GRID = Grid1D(2048, -24.0, 24.0)
 
 
+def _rk4(rhs, y0, dt, n_steps):
+    """Fixed-step RK4 reference; returns every step's state."""
+    out = np.empty((n_steps + 1, len(y0)))
+    out[0] = y = np.asarray(y0, dtype=float)
+    for i in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        out[i + 1] = y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestClosedFormsAgainstRk4:
+    """The closed forms against RK4 at 2000 steps per period."""
+
+    @pytest.mark.parametrize("k_ext, k_self", [(1.0, 40.0), (0.0, 25.0),
+                                               (0.0, 0.0)])
+    def test_moment_flow(self, phys, k_ext, k_self):
+        model = HarmonicModelParams(k_ext=k_ext, k_self=k_self)
+        m, hbar = phys.mass, phys.hbar
+        k_total = k_ext + k_self
+        init = GaussianMoments(mean=0.7, momentum=-0.4, variance=0.3,
+                               variance_rate=0.2)
+        # two periods of the fastest motion (the breathing), or t = 2 in
+        # free flight
+        period = np.pi / np.sqrt(k_total / m) if k_total else 1.0
+        n_steps = 4000
+        dt = 2.0 * period / n_steps
+
+        def rhs(y):
+            mean, mom, var, var_rate = y
+            c = 0.5 * m * var_rate
+            pi2 = (0.25 * hbar * hbar + c * c) / var
+            dc = pi2 / m - k_total * var
+            return np.array([mom / m, -k_ext * mean, var_rate, 2.0 * dc / m])
+
+        ref = _rk4(rhs, [init.mean, init.momentum, init.variance,
+                         init.variance_rate], dt, n_steps)
+        flow = gaussian_moment_flow(init, model, phys, dt, n_steps * dt)
+        assert len(flow.times) == n_steps + 1
+        for i, series in enumerate((flow.mean, flow.momentum, flow.variance,
+                                    flow.variance_rate)):
+            assert _max_rel(series, ref[:, i]) < 1e-9
+
+    @pytest.mark.parametrize("k", [3.0, 0.0])
+    def test_classical_trajectory(self, k):
+        mass = 2.0
+        period = 2.0 * np.pi / np.sqrt(k / mass) if k else 1.0
+        n_steps = 4000
+        dt = 2.0 * period / n_steps
+        ref = _rk4(lambda y: np.array([y[1], -k * y[0] / mass]), [1.2, -0.3],
+                   dt, n_steps)
+        times, xs, vs = classical_trajectory(ClassicalState(1.2, -0.3), k, dt,
+                                             n_steps * dt, mass=mass)
+        assert np.array_equal(times, dt * np.arange(n_steps + 1))
+        assert _max_rel(xs, ref[:, 0]) < 1e-9
+        assert _max_rel(vs, ref[:, 1]) < 1e-9
+
+
 class TestMomentFlow:
     def test_free_flight(self, phys):
         model = HarmonicModelParams(k_ext=0.0, k_self=0.0)
@@ -117,7 +181,7 @@ class TestClassicalTrajectory:
 
     def test_free_flight(self):
         times, xs, _ = classical_trajectory(
-            ClassicalState(0.5, 2.0), lambda x: 0.0, 1e-3, 3.0
+            ClassicalState(0.5, 2.0), 0.0, 1e-3, 3.0
         )
         assert np.max(np.abs(xs - (0.5 + 2.0 * times))) < 1e-12
 
@@ -128,13 +192,6 @@ class TestClassicalTrajectory:
         )
         energy = 0.5 * vs**2 + 0.5 * k * xs**2
         assert np.max(np.abs(energy - energy[0])) / energy[0] < 1e-8
-
-    def test_custom_force(self):
-        # pendulum-like force, just check it integrates and stays bounded
-        times, xs, _ = classical_trajectory(
-            ClassicalState(0.1, 0.0), lambda x: -np.sin(x), 1e-3, 10.0
-        )
-        assert np.max(np.abs(xs)) < 0.11
 
 
 class TestValidation:

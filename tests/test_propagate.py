@@ -169,8 +169,9 @@ class TestEvolveSelfHarmonic:
         init = GaussianMoments(m0.mean, m0.momentum, m0.variance,
                                2.0 * m0.covariance / PHYS.mass)
         stride_dt = log.times[1] - log.times[0]
-        flow = gaussian_moment_flow(init, model, PHYS, stride_dt / 10.0, t_end)
-        mean_o, var_o = flow.mean[::10], flow.variance[::10]
+        flow = gaussian_moment_flow(init, model, PHYS, stride_dt, log.times[-1])
+        mean_o, var_o = flow.mean, flow.variance
+        assert len(flow.times) == len(log.times)
         mean_g = np.asarray(log.mean_x)
         var_g = np.asarray(log.mean_x2) - mean_g**2
         assert np.max(np.abs(mean_g - mean_o)) / np.max(np.abs(mean_o)) < 1e-3

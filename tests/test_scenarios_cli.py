@@ -150,6 +150,29 @@ class TestRunScenario:
         assert len(tsv.read_text().splitlines()) == 2
         assert tsv.read_bytes() == first
 
+    @pytest.mark.parametrize("text, dirs", [
+        ("scenario = figure1\nn_points = 1024\noutput_stride = 40\n",
+         ("pilot", "full")),
+        ("scenario = custom\nn_points = 1024\nx_min = -16\nx_max = 16\n"
+         "dt = 0.001\nt_end = 0.05\noutput_stride = 10\n"
+         "init_center = 1.0\ninit_width = 1.0\n", ("snapshots",)),
+    ], ids=["figure1", "custom"])
+    def test_snapshots_off_rerun_clears_stale_frames(self, tmp_path, text,
+                                                     dirs):
+        run_scenario(parse_config(text + "snapshots = on\n"), tmp_path)
+        for d in dirs:
+            assert any((tmp_path / d).glob("snap_*.dat"))
+            (tmp_path / d / "notes.txt").write_text("kept")
+        run_scenario(parse_config(text + "snapshots = off\n"), tmp_path)
+        for d in dirs:
+            assert sorted(p.name for p in (tmp_path / d).iterdir()) == [
+                "notes.txt"]
+
+    def test_snapshots_off_creates_no_directories(self, tmp_path):
+        run_scenario(parse_config(SMALL_FIG_TEXT), tmp_path)
+        assert not (tmp_path / "pilot").exists()
+        assert not (tmp_path / "full").exists()
+
 
 class TestSweep:
     def test_single_value_matches_run(self, tmp_path):
@@ -258,21 +281,37 @@ class TestCli:
         err = self._sweep_rejected(tmp_path, capsys, "n_points", "1024.5")
         assert "integers" in err
 
-    def test_sim_threads_env(self, tmp_path, monkeypatch):
+    def test_figure1_stride_not_dividing_steps(self, tmp_path, capsys):
+        # 400 steps: the last step is not an output time
         cfg_path = tmp_path / "fig.cfg"
-        cfg_path.write_text(SMALL_FIG_TEXT)
-        monkeypatch.setenv("SIM_THREADS", "2")
-        code = main([
-            "sweep", "--param", "stiffness_ratio", "--values", "1000",
-            "--config", str(cfg_path), "--out", str(tmp_path / "sw"),
-        ])
-        assert code == 0
-        monkeypatch.setenv("SIM_THREADS", "zebra")
-        code = main([
-            "sweep", "--param", "stiffness_ratio", "--values", "1000",
-            "--config", str(cfg_path), "--out", str(tmp_path / "sw2"),
-        ])
+        cfg_path.write_text(SMALL_FIG_TEXT + "output_stride = 67\n")
+        out = tmp_path / "fig"
+        code = main(["run", "figure1", "--config", str(cfg_path),
+                     "--out", str(out)])
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        guidance = (out / "guidance.csv").read_text().splitlines()
+        assert len(guidance) == 1 + 6  # t = 0, 67 dt, ..., 335 dt
+        t_column = [line.split(",")[0] for line in guidance[1:]]
+        for name in ("oracle_moments.csv", "classical.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == t_column
+
+    @pytest.mark.parametrize("scenario, stride", [
+        ("figure1", 101), ("figure1", 134), ("figure1", 201),
+        ("ehrenfest", 300), ("ehrenfest", 1000), ("boost", 2001),
+    ])
+    def test_too_few_output_times_rejected(self, tmp_path, capsys, scenario,
+                                           stride):
+        # figure1 takes 400 steps at 2048 nodes, ehrenfest 1000, boost 2000
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"scenario = {scenario}\nn_points = 2048\n"
+                            f"output_stride = {stride}\n")
+        code = main(["run", scenario, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
         assert code == 2
+        assert "output times" in err and "Traceback" not in err
 
     def test_check_exit_codes(self, monkeypatch, capsys):
         from snsim.scenarios import CheckResult
