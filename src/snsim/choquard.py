@@ -43,6 +43,9 @@ from .potentials import PhysParams
 logger = logging.getLogger(__name__)
 
 FOUR_PI = 4.0 * np.pi
+# Gaussian width of the relaxation seed and the first backward-Euler step
+SEED_WIDTH = 3.0
+DTAU0 = 2.0
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,14 @@ class RadialGrid:
     r_max: float
 
     def __post_init__(self):
+        # worded as the config keys radial_points and r_max
+        errors = []
         if self.n_points < 8:
-            raise ConfigError("radial grid needs at least 8 points")
+            errors.append("radial_points must be >= 8")
         if self.r_max <= 0.0:
-            raise ConfigError("r_max must be positive")
+            errors.append("r_max must be > 0")
+        if errors:
+            raise ConfigError(errors)
 
     @property
     def dr(self) -> float:
@@ -164,9 +171,7 @@ def solve_ground_state(
     target_norm_sq: float,
     tol: float = 1e-10,
     grid: RadialGrid | None = None,
-    dtau: float = 2.0,
     max_sweeps: int = 20_000,
-    seed_width: float = 3.0,
 ) -> GroundStateResult:
     """Relax to the nodeless self-consistent minimizer at fixed norm.
 
@@ -182,7 +187,7 @@ def solve_ground_state(
     M = phys.mass
     kin = phys.hbar**2 / (2.0 * M * dr * dr)
 
-    u = r * np.exp(-(r * r) / (2.0 * seed_width**2))
+    u = r * np.exp(-(r * r) / (2.0 * SEED_WIDTH**2))
     u *= np.sqrt(target_norm_sq / (FOUR_PI * np.sum(u * u) * dr))
 
     def potential_of(u_now):
@@ -191,7 +196,7 @@ def solve_ground_state(
     pot = potential_of(u)
     energy = _functional_energy_u(u, pot, grid, phys)
     history = [energy]
-    step = dtau
+    step = DTAU0
     consecutive = 0
     sweeps = 0
     n = grid.n_points

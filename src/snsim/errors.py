@@ -1,8 +1,15 @@
 """Exception types shared across the simulation and analysis modules."""
 
+import copyreg
+
 
 class SimulationError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # rebuild from the stored message and attributes, not through
+        # __init__: subclasses take other arguments than their message
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(SimulationError):

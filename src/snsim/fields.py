@@ -34,10 +34,13 @@ class Grid1D:
 
     def __post_init__(self):
         n = self.n_points
+        errors = []
         if n <= 0 or (n & (n - 1)) != 0:
-            raise ConfigError(f"n_points must be a power of two, got {n}")
+            errors.append("n_points must be a power of two")
         if not (self.x_max > self.x_min):
-            raise ConfigError("x_max must exceed x_min")
+            errors.append("x_min must be below x_max")
+        if errors:
+            raise ConfigError(errors)
 
     @property
     def dx(self) -> float:

@@ -42,9 +42,10 @@ class PhysParams:
     norm_sq: float = 1.0
 
     def __post_init__(self):
-        for name in ("hbar", "mass", "G", "norm_sq"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be strictly positive")
+        errors = [f"{name} must be > 0" for name in ("hbar", "mass", "G", "norm_sq")
+                  if getattr(self, name) <= 0.0]
+        if errors:
+            raise ConfigError(errors)
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,12 @@ class HarmonicModelParams:
     sphere_radius: Optional[float] = None
 
     def __post_init__(self):
-        if self.k_ext < 0.0:
-            raise ConfigError("k_ext must be >= 0")
-        if self.k_self < 0.0:
-            raise ConfigError("k_self must be >= 0")
-        if self.sphere_mass is not None and self.sphere_mass <= 0.0:
-            raise ConfigError("sphere_mass must be > 0")
-        if self.sphere_radius is not None and self.sphere_radius <= 0.0:
-            raise ConfigError("sphere_radius must be > 0")
+        errors = [f"{name} must be >= 0" for name in ("k_ext", "k_self")
+                  if getattr(self, name) < 0.0]
+        errors += [f"{name} must be > 0" for name in ("sphere_mass", "sphere_radius")
+                   if getattr(self, name) is not None and getattr(self, name) <= 0.0]
+        if errors:
+            raise ConfigError(errors)
 
 
 def self_stiffness(G: float, sphere_mass: float, sphere_radius: float,
@@ -85,8 +84,6 @@ def validate_self_stiffness(model: HarmonicModelParams, phys: PhysParams):
     derived = self_stiffness(phys.G, model.sphere_mass, model.sphere_radius,
                              phys.norm_sq)
     scale = max(abs(derived), abs(model.k_self))
-    if scale == 0.0:
-        return
     if abs(derived - model.k_self) > STIFFNESS_CONSISTENCY_RTOL * scale:
         raise ConfigError(
             f"k_self={model.k_self!r} disagrees with the sphere value "
@@ -113,11 +110,6 @@ class ConvolutionKernel:
         return out
 
 
-def zero_kernel(phys: PhysParams) -> ConvolutionKernel:
-    return ConvolutionKernel(lambda u: np.zeros_like(u),
-                             -phys.G * phys.mass**2, name="zero")
-
-
 def sphere_quadratic_kernel(phys: PhysParams, model: HarmonicModelParams) -> ConvolutionKernel:
     """Quadratic expansion of the uniform-sphere self interaction.
 
@@ -137,7 +129,14 @@ def sphere_quadratic_kernel(phys: PhysParams, model: HarmonicModelParams) -> Con
 
 def load_kernel_table(path, phys: PhysParams) -> ConvolutionKernel:
     """Tabulated kernel from a two-column text file (u, F(u))."""
-    data = np.loadtxt(path, ndmin=2)
+    try:
+        data = np.loadtxt(path, ndmin=2)
+    except OSError as exc:
+        raise ConfigError(f"kernel table {path} cannot be read: "
+                          f"{exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"kernel table {path} is not a numeric table: "
+                          f"{exc}") from None
     if data.ndim != 2 or data.shape[1] != 2:
         raise ConfigError(f"kernel table {path} must have two columns")
     u, f = data[:, 0], data[:, 1]

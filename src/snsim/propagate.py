@@ -49,6 +49,8 @@ logger = logging.getLogger(__name__)
 BOUNDARY_LEAK_THRESHOLD = 1e-12
 # accuracy bound: resolve the fastest oscillation with at least this many steps
 MIN_STEPS_PER_PERIOD = 10.0
+# first imaginary-time step of imaginary_time_relax; halved as needed
+RELAX_DTAU0 = 0.1
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,6 @@ class EvolutionSpec:
     dt: float
     t_end: float
     output_stride: int = 1
-    check_boundary: bool = True
     store_fields: bool = True
 
     def __post_init__(self):
@@ -150,28 +151,20 @@ class _Family:
 class _Recorder:
     """Per-output bookkeeping of a Strang run."""
 
-    def __init__(self, grid: Grid1D, spec: EvolutionSpec, phys: PhysParams,
+    def __init__(self, psi0: WaveField, spec: EvolutionSpec, phys: PhysParams,
                  family: _Family):
-        self.grid = grid
+        self.grid = psi0.grid
         self.spec = spec
         self.phys = phys
         self.family = family
         self.log = TrajectoryLog(spec.store_fields)
-        self.boundary_active = spec.check_boundary
-
-    def baseline(self, vals: np.ndarray):
-        if not self.spec.check_boundary:
-            return
-        rho = _density(vals)
-        peak = rho.max()
-        edge = max(rho[0], rho[-1])
-        if peak > 0 and edge > BOUNDARY_LEAK_THRESHOLD * peak:
-            # states that touch the boundary from the start (plane waves)
-            # are legitimately periodic; only compact states are policed
-            logger.info(
-                "initial state touches the boundary; leak check disabled"
-            )
-            self.boundary_active = False
+        # states that touch the boundary from the start (plane waves) are
+        # legitimately periodic; only compact states are policed
+        rho = _density(psi0.values)
+        self.boundary_active = not (max(rho[0], rho[-1])
+                                    > BOUNDARY_LEAK_THRESHOLD * rho.max())
+        if not self.boundary_active:
+            logger.info("initial state touches the boundary; leak check disabled")
 
     def record(self, t: float, vals: np.ndarray, v_self):
         rho = _density(vals)
@@ -248,8 +241,7 @@ def _evolve(
             return static_phase[halves]
         return np.exp(halves * half_factor * (family.v_ext + v_self))
 
-    rec = _Recorder(grid, spec, phys, family)
-    rec.baseline(psi0.values)
+    rec = _Recorder(psi0, spec, phys, family)
     vals = psi0.values.copy()
     v_self = evaluate(vals, 0)
     rec.record(0.0, vals, v_self)
@@ -356,7 +348,6 @@ def imaginary_time_relax(
     tol: float = 1e-10,
     phys: PhysParams = PhysParams(),
     energy_fn: Optional[Callable[[WaveField, np.ndarray], float]] = None,
-    dt0: Optional[float] = None,
     max_iters: int = 200_000,
 ) -> RelaxResult:
     """Gradient-flow relaxation to the self-consistent ground state.
@@ -397,7 +388,7 @@ def imaginary_time_relax(
             return energy_fn(WaveField(grid, v), pot)
         return rayleigh(v, pot)
 
-    dtau = dt0 if dt0 is not None else 0.1
+    dtau = RELAX_DTAU0
     pot = np.asarray(potential_builder(WaveField(grid, vals)), dtype=float)
     energy = monitored(vals, pot)
     history = [energy]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -51,6 +52,7 @@ from .oracles import (
     write_series_csv,
 )
 from .potentials import (
+    STIFFNESS_CONSISTENCY_RTOL,
     HarmonicModelParams,
     PhysParams,
     harmonic_external,
@@ -193,67 +195,57 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> List[str]:
-    """All rule violations of a config, empty when valid."""
+    """All rule violations of a config, empty when valid.
+
+    The rules a type owns come from building it from the config.  Stated
+    here are the rules no type owns, and those of Grid1D and
+    EvolutionSpec, whose keys the scenarios fill in.
+    """
     errors: List[str] = []
 
-    def positive(name):
-        v = getattr(cfg, name)
-        if v is not None and v <= 0:
-            errors.append(f"{name} must be > 0")
+    def owner(build, *args):
+        try:
+            return build(*args)
+        except ConfigError as exc:
+            errors.extend(exc.errors)
+            return None
 
-    def non_negative(name):
-        v = getattr(cfg, name)
-        if v is not None and v < 0:
-            errors.append(f"{name} must be >= 0")
+    phys = owner(_resolve_phys, cfg)
+    model = owner(HarmonicModelParams,
+                  cfg.k_ext if cfg.k_ext is not None else 0.0,
+                  cfg.k_self if cfg.k_self is not None else 0.0,
+                  cfg.sphere_mass, cfg.sphere_radius)
+    owner(RadialGrid, cfg.radial_points, cfg.r_max)
+    if cfg.k_self is not None and phys is not None and model is not None:
+        owner(validate_self_stiffness, model, phys)
 
     if cfg.scenario not in SCENARIOS:
         errors.append(f"scenario must be one of {', '.join(SCENARIOS)}")
     if cfg.kernel not in KERNELS:
         errors.append(f"kernel must be one of {', '.join(KERNELS)}")
-    for name in ("mass", "G", "norm_sq", "stiffness_ratio", "sphere_mass",
-                 "sphere_radius", "dt", "t_end", "init_width", "pilot_width",
-                 "r_max", "relax_tol"):
-        positive(name)
-    for name in ("k_ext", "k_self"):
-        non_negative(name)
-    if cfg.n_points is not None:
-        n = cfg.n_points
-        if n <= 0 or (n & (n - 1)) != 0:
-            errors.append("n_points must be a power of two")
-    if cfg.output_stride < 1:
-        errors.append("output_stride must be >= 1")
-    if cfg.radial_points < 8:
-        errors.append("radial_points must be >= 8")
+    for name in ("stiffness_ratio", "dt", "t_end", "init_width",
+                 "pilot_width", "relax_tol"):
+        value = getattr(cfg, name)
+        if value is not None and value <= 0:
+            errors.append(f"{name} must be > 0")
     if not (0.0 < cfg.variance_ratio < 1.0):
         errors.append("variance_ratio must lie in (0, 1)")
+    n = cfg.n_points
+    if n is not None and (n <= 0 or (n & (n - 1)) != 0):
+        errors.append("n_points must be a power of two")
     if cfg.x_min is not None and cfg.x_max is not None and cfg.x_min >= cfg.x_max:
         errors.append("x_min must be below x_max")
+    if cfg.output_stride < 1:
+        errors.append("output_stride must be >= 1")
     if cfg.kernel == "custom-table" and not cfg.kernel_file:
         errors.append("kernel_file is required for kernel = custom-table")
-    if (
-        cfg.k_self is not None
-        and cfg.stiffness_ratio is not None
-        and cfg.k_ext is not None
-    ):
+    if None not in (cfg.k_self, cfg.stiffness_ratio, cfg.k_ext):
         implied = cfg.stiffness_ratio * cfg.k_ext
         scale = max(abs(implied), abs(cfg.k_self))
-        if scale > 0 and abs(implied - cfg.k_self) > 1e-12 * scale:
+        if abs(implied - cfg.k_self) > STIFFNESS_CONSISTENCY_RTOL * scale:
             errors.append(
                 f"k_self={cfg.k_self!r} disagrees with "
                 f"stiffness_ratio*k_ext={implied!r}"
-            )
-    if (
-        cfg.k_self is not None
-        and cfg.sphere_mass is not None
-        and cfg.sphere_radius is not None
-    ):
-        derived = self_stiffness(cfg.G, cfg.sphere_mass, cfg.sphere_radius,
-                                 cfg.norm_sq)
-        scale = max(abs(derived), abs(cfg.k_self))
-        if scale > 0 and abs(derived - cfg.k_self) > 1e-12 * scale:
-            errors.append(
-                f"k_self={cfg.k_self!r} disagrees with the sphere value "
-                f"G*M^2*N^2/(2R^3)={derived!r}"
             )
     return errors
 
@@ -388,44 +380,39 @@ def soliton_width_param(model: HarmonicModelParams, phys: PhysParams) -> float:
     return math.sqrt(phys.hbar / math.sqrt(k_total * phys.mass))
 
 
-def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
-    """Run the oscillating-soliton configuration and analyze it."""
+def _figure1_physics(cfg: ScenarioConfig):
     phys = _resolve_phys(cfg)
     model = _resolve_model(cfg, default_k_ext=1.0, default_ratio=1000.0)
     if model.k_ext <= 0:
         raise ConfigError("figure1 needs k_ext > 0")
-    k_total = model.k_ext + model.k_self
-    omega_fast = math.sqrt(k_total / phys.mass)
+    return phys, model, math.sqrt((model.k_ext + model.k_self) / phys.mass)
 
+
+def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
+    """Run the oscillating-soliton configuration and analyze it."""
+    cfg = resolve_sweep_window(cfg)  # sets t_end and pilot_width
+    phys, model, omega_fast = _figure1_physics(cfg)
     a_phi = cfg.init_width if cfg.init_width is not None else soliton_width_param(model, phys)
-    sigma_phi_sq = 0.5 * a_phi**2
-    if cfg.pilot_width is not None:
-        a_l = cfg.pilot_width
-        sigma_l_sq = 0.5 * a_l**2
-    else:
-        sigma_l_sq = sigma_phi_sq / cfg.variance_ratio
-        a_l = math.sqrt(2.0 * sigma_l_sq)
     x_c = cfg.init_center if cfg.init_center is not None else 1.0
 
     if cfg.x_min is not None and cfg.x_max is not None:
         x_min, x_max = cfg.x_min, cfg.x_max
     else:
-        half = math.ceil(9.0 * math.sqrt(sigma_l_sq) + 4.0 * (abs(x_c) + 1.0))
+        half = math.ceil(9.0 * math.sqrt(0.5 * cfg.pilot_width**2) + 4.0 * (abs(x_c) + 1.0))
         x_min, x_max = -half, half
     n = cfg.n_points if cfg.n_points is not None else 4096
     grid = Grid1D(n, x_min, x_max)
 
-    t_end = cfg.t_end if cfg.t_end is not None else 2.0 * (2.0 * math.pi / omega_fast)
     # 200 steps per fast period keeps the width dynamics (the stiffest
     # observable) within the 1e-3 oracle-equivalence budget
     dt_nominal = cfg.dt if cfg.dt is not None else 2.0 * math.pi / (200.0 * omega_fast)
-    n_steps = max(3, math.ceil(t_end / dt_nominal - 1e-9))
-    dt = t_end / n_steps
+    n_steps = max(3, math.ceil(cfg.t_end / dt_nominal - 1e-9))
+    dt = cfg.t_end / n_steps
     _require_outputs(n_steps, cfg.output_stride, 5, "the mean-motion check")
-    spec = EvolutionSpec(dt=dt, t_end=t_end, output_stride=cfg.output_stride,
+    spec = EvolutionSpec(dt=dt, t_end=cfg.t_end, output_stride=cfg.output_stride,
                          store_fields=True)
 
-    pilot0 = gaussian_packet(grid, cfg.pilot_center, a_l, chirp=cfg.pilot_chirp,
+    pilot0 = gaussian_packet(grid, cfg.pilot_center, cfg.pilot_width, chirp=cfg.pilot_chirp,
                              norm_sq=1.0, hbar=phys.hbar, mass=phys.mass)
     soliton0 = gaussian_packet(grid, x_c, a_phi, norm_sq=1.0,
                                hbar=phys.hbar, mass=phys.mass)
@@ -528,6 +515,8 @@ def build_boost(cfg: ScenarioConfig) -> BoostResult:
     model = _resolve_model(cfg, default_k_ext=0.0, default_k_self=1000.0)
     if model.k_ext != 0.0:
         raise ConfigError("boost scenario requires k_ext = 0")
+    if model.k_self <= 0.0:
+        raise ConfigError("boost scenario needs k_self > 0")
     a = (phys.hbar**2 / (model.k_self * phys.mass)) ** 0.25
     n = cfg.n_points if cfg.n_points is not None else 4096
     if cfg.x_min is not None and cfg.x_max is not None:
@@ -738,13 +727,16 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     phys = _resolve_phys(cfg)
     if cfg.kernel == "none":
         cfg = dataclasses.replace(cfg, kernel="sphere-quadratic")
-    if cfg.sphere_mass is None:
-        cfg = dataclasses.replace(cfg, sphere_mass=1.0, sphere_radius=5.0)
+    cfg = dataclasses.replace(
+        cfg, sphere_mass=cfg.sphere_mass if cfg.sphere_mass is not None else 1.0,
+        sphere_radius=cfg.sphere_radius if cfg.sphere_radius is not None else 5.0)
     k_self = self_stiffness(phys.G, cfg.sphere_mass, cfg.sphere_radius,
                             phys.norm_sq)
     model = HarmonicModelParams(k_ext=cfg.k_ext if cfg.k_ext is not None else 1.0,
                                 k_self=k_self, sphere_mass=cfg.sphere_mass,
                                 sphere_radius=cfg.sphere_radius)
+    if model.k_ext <= 0.0:
+        raise ConfigError("ehrenfest needs k_ext > 0 for its trapped run")
     kernel = _resolve_kernel(cfg, phys, model)
     n = cfg.n_points if cfg.n_points is not None else 4096
     grid = Grid1D(n, cfg.x_min if cfg.x_min is not None else -32.0,
@@ -818,6 +810,7 @@ def build_custom(cfg: ScenarioConfig) -> CustomResult:
     spec = EvolutionSpec(dt=cfg.dt, t_end=cfg.t_end,
                          output_stride=cfg.output_stride,
                          store_fields=cfg.snapshots)
+    _require_outputs(spec.n_steps, spec.output_stride, 2, "norm-conservation")
     psi0 = gaussian_packet(grid, cfg.init_center, cfg.init_width,
                            velocity=cfg.init_velocity, norm_sq=phys.norm_sq,
                            hbar=phys.hbar, mass=phys.mass)
@@ -946,44 +939,49 @@ def resolve_sweep_window(cfg: ScenarioConfig) -> ScenarioConfig:
     soliton/pilot scale separation (and with it the guidance-law
     residual) genuinely tracks the stiffness ratio.
     """
-    if cfg.scenario != "figure1":
+    if cfg.scenario != "figure1" or None not in (cfg.t_end, cfg.pilot_width):
         return cfg
-    updates = {}
-    if cfg.t_end is None or cfg.pilot_width is None:
-        phys = _resolve_phys(cfg)
-        model = _resolve_model(cfg, default_k_ext=1.0, default_ratio=1000.0)
-        omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
-        if cfg.t_end is None:
-            updates["t_end"] = 2.0 * (2.0 * math.pi / omega_fast)
-        if cfg.pilot_width is None:
-            a_phi = (cfg.init_width if cfg.init_width is not None
-                     else soliton_width_param(model, phys))
-            updates["pilot_width"] = math.sqrt(a_phi**2 / cfg.variance_ratio)
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    phys, model, omega_fast = _figure1_physics(cfg)
+    a_phi = (cfg.init_width if cfg.init_width is not None
+             else soliton_width_param(model, phys))
+    derived = {"t_end": 2.0 * (2.0 * math.pi / omega_fast),
+               "pilot_width": math.sqrt(a_phi**2 / cfg.variance_ratio)}
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in derived.items() if getattr(cfg, k) is None})
 
 
 def sweep(cfg: ScenarioConfig, param: str, values: Sequence[float],
           out_dir, jobs: int = 1) -> tuple[list, bool]:
     """Run one scenario per value concurrently and aggregate a TSV.
 
-    Values that are not finite, not integral for an integer key, or
-    that would share a run directory are rejected before any member
-    runs.  Per-value failures are recorded in their row; the sweep itself
-    never aborts.  Rows come back sorted by value regardless of completion
-    order.
+    An invalid template or member config, and values that are not
+    finite, not integral for an integer key, or that would share a run
+    directory are rejected before any member runs.  Per-value failures
+    are recorded in their row; the sweep itself never aborts.  Rows come
+    back sorted by value regardless of completion order.  Before the TSV
+    is written, the directories of earlier members of this parameter
+    that the new values do not produce are removed.
     """
     if param not in NUMERIC_SWEEP_KEYS:
         raise ConfigError(f"'{param}' is not a numeric config key")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    errors = []
-    run_dirs = {}
+    errors = validate_config(cfg)
+    template_ok = not errors
+    if template_ok:
+        cfg = resolve_sweep_window(cfg)
+    members, run_dirs = {}, {}
     for value in values:
         if not math.isfinite(value):
             errors.append(f"sweep value {value!r} is not finite")
         elif param in _INT_KEYS and value != int(value):
             errors.append(f"{param} takes integers, got {value!r}")
+        elif template_ok:
+            members[value] = dataclasses.replace(
+                cfg, **{param: int(value) if param in _INT_KEYS else float(value)})
+            errors += [f"{param}={value:g}: {msg}"
+                       for msg in validate_config(members[value])]
         name = f"{param}_{value:g}"
         if name in run_dirs:
             errors.append(f"sweep values {run_dirs[name]!r} and {value!r} "
@@ -991,17 +989,12 @@ def sweep(cfg: ScenarioConfig, param: str, values: Sequence[float],
         run_dirs.setdefault(name, value)
     if errors:
         raise ConfigError(errors)
-    cfg = resolve_sweep_window(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     def one(value):
-        member = dataclasses.replace(
-            cfg, **{param: int(value) if param in _INT_KEYS else float(value)}
-        )
-        run_dir = out / f"{param}_{value:g}"
         try:
-            report = run_scenario(member, run_dir)
+            report = run_scenario(members[value], out / f"{param}_{value:g}")
             return value, report, None
         except SimulationError as exc:
             logger.warning("sweep member %s=%g failed: %s", param, value, exc)
@@ -1015,11 +1008,15 @@ def sweep(cfg: ScenarioConfig, param: str, values: Sequence[float],
             raw = list(pool.map(one, values))
     raw.sort(key=lambda item: item[0])
 
-    metric_keys: List[str] = []
-    for _, report, _ in raw:
-        if report is not None:
-            metric_keys = list(report.metrics.keys())
-            break
+    metric_keys = next((list(r.metrics) for _, r, _ in raw if r is not None), [])
+    for stale in out.glob(f"{param}_*"):
+        try:
+            value = float(stale.name[len(param) + 1:])
+        except ValueError:
+            continue
+        if (stale.name not in run_dirs and stale.is_dir()
+                and stale.name == f"{param}_{value:g}"):
+            shutil.rmtree(stale)
     tsv_path = out / "sweep.tsv"
     with open(tsv_path, "w") as fh:
         fh.write("\t".join([param, "passed"] + metric_keys + ["error"]) + "\n")

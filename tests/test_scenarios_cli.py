@@ -16,6 +16,12 @@ from snsim.scenarios import (
 
 # a cheap but resolved oscillating-soliton configuration for CLI tests
 SMALL_FIG_TEXT = "scenario = figure1\nn_points = 2048\n"
+# a trapped free packet over 50 steps
+CUSTOM_TEXT = (
+    "scenario = custom\nn_points = 1024\nx_min = -16\nx_max = 16\n"
+    "k_ext = 1.0\ndt = 0.001\nt_end = 0.05\n"
+    "init_center = 1.0\ninit_width = 1.0\n"
+)
 
 
 class TestParseConfig:
@@ -92,6 +98,31 @@ class TestParseConfig:
     def test_round_trip_defaults(self):
         cfg = ScenarioConfig(scenario="choquard")
         assert parse_config(render_config(cfg)) == cfg
+
+    # each rule is stated once, by its owner or by validate_config; the
+    # messages a config collects are the same wherever they come from
+    @pytest.mark.parametrize("text, expected", [
+        ("k_ext = -1", {"k_ext must be >= 0"}),
+        ("n_points = 1000", {"n_points must be a power of two"}),
+        ("mass = -1\nr_max = -2\nradial_points = 4",
+         {"mass must be > 0", "r_max must be > 0", "radial_points must be >= 8"}),
+        ("sphere_mass = 1\nsphere_radius = 2\nk_self = 0.9",
+         {"k_self=0.9 disagrees with the sphere value G*M^2*N^2/(2R^3)=0.0625"}),
+        ("x_min = 3\nx_max = 1", {"x_min must be below x_max"}),
+        ("variance_ratio = 2", {"variance_ratio must lie in (0, 1)"}),
+        ("scenario = nowhere", {"scenario must be one of figure1, ground-state, "
+                                "choquard, ehrenfest, boost, custom"}),
+        ("k_ext = 1\nk_self = 5\nstiffness_ratio = 4",
+         {"k_self=5.0 disagrees with stiffness_ratio*k_ext=4.0"}),
+        ("kernel = custom-table",
+         {"kernel_file is required for kernel = custom-table"}),
+        ("G = 0\nnorm_sq = -1\nsphere_mass = -1",
+         {"G must be > 0", "norm_sq must be > 0", "sphere_mass must be > 0"}),
+    ])
+    def test_messages_pinned(self, text, expected):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "\n")
+        assert set(err.value.errors) == expected
 
 
 class TestRunScenario:
@@ -312,6 +343,67 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "output times" in err and "Traceback" not in err
+
+    def _run_custom(self, tmp_path, capsys, extra):
+        cfg_path = tmp_path / "custom.cfg"
+        cfg_path.write_text(CUSTOM_TEXT + extra)
+        code = main(["run", "custom", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+        return err
+
+    def test_custom_too_few_output_times_rejected(self, tmp_path, capsys):
+        # 50 steps with stride 100 log only t = 0, which made the norm
+        # check pass vacuously
+        err = self._run_custom(tmp_path, capsys, "output_stride = 100\n")
+        assert "output times" in err and "norm-conservation" in err
+
+    def test_custom_missing_kernel_file(self, tmp_path, capsys):
+        table = tmp_path / "absent.txt"
+        err = self._run_custom(
+            tmp_path, capsys,
+            f"kernel = custom-table\nkernel_file = {table}\n")
+        assert str(table) in err
+
+    def test_custom_malformed_kernel_file(self, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+        table.write_text("0 1\n1 one\n")
+        err = self._run_custom(
+            tmp_path, capsys,
+            f"kernel = custom-table\nkernel_file = {table}\n")
+        assert str(table) in err and "numeric" in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        code = main(["run", "figure1", "--config", str(tmp_path / "no.cfg"),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "no.cfg" in err and "Traceback" not in err
+
+    def test_sweep_invalid_member_rejected(self, tmp_path, capsys):
+        # "10,-5": argparse would read a leading "-5" as an option
+        err = self._sweep_rejected(tmp_path, capsys, "k_self", "10,-5,nan")
+        # every problem at once: the bad member and the bad value
+        assert "k_self=-5: k_self must be >= 0" in err and "not finite" in err
+
+    def test_sweep_rerun_removes_stale_members(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+
+        def run(values):
+            return main(["sweep", "--scenario", "ground-state", "--param",
+                         "k_self", "--values", values, "--out", str(out)])
+
+        assert run("10,20") == 0
+        # neighbours that are not members of this sweep's parameter
+        for name in ("k_self_10.0", "k_self_notes", "k_ext_20"):
+            (out / name).mkdir()
+        (out / "k_self_30").write_text("a file, not a member directory")
+        assert run("10") == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "k_ext_20", "k_self_10", "k_self_10.0", "k_self_30",
+            "k_self_notes", "sweep.tsv"]
 
     def test_check_exit_codes(self, monkeypatch, capsys):
         from snsim.scenarios import CheckResult
