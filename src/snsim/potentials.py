@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -73,8 +74,15 @@ class HarmonicModelParams:
 
 def self_stiffness(G: float, sphere_mass: float, sphere_radius: float,
                    norm_sq: float) -> float:
-    """Sphere-model stiffness k_self = G M^2 N^2 / (2 R^3)."""
-    return G * sphere_mass**2 * norm_sq / (2.0 * sphere_radius**3)
+    """Sphere-model stiffness k_self = G M^2 N^2 / (2 R^3), refused unless finite."""
+    try:
+        k_self = G * sphere_mass**2 * norm_sq / (2.0 * sphere_radius**3)
+    except (OverflowError, ZeroDivisionError):
+        k_self = math.inf
+    if not math.isfinite(k_self):
+        raise ConfigError("the sphere stiffness G*M^2*N^2/(2R^3) of G, norm_sq, "
+                          "sphere_mass and sphere_radius is not a finite number")
+    return k_self
 
 
 def validate_self_stiffness(model: HarmonicModelParams, phys: PhysParams):

@@ -95,7 +95,6 @@ class TrajectoryLog:
         self.norm_sq: List[float] = []
         self.energy: List[float] = []
         self.fields: Optional[List[WaveField]] = [] if store_fields else None
-        self.diagnostics: dict = {}
 
     def append(self, t, mean_x, mean_x2, norm_sq, energy, fld=None):
         self.times.append(t)
@@ -199,7 +198,6 @@ def _check_dt_accuracy(spec: EvolutionSpec, omega_fast: float):
             f"dt={abs(spec.dt):g} exceeds the accuracy bound "
             f"dt_max={dt_max:g} for the stiffest frequency {omega_fast:g}"
         )
-    return dt_max
 
 
 def _evolve(
@@ -265,7 +263,6 @@ def _evolve(
             vals *= half_phase
     if n_steps % stride and not np.isfinite(vals).all():
         raise NonFiniteFieldError(n_steps * dt)
-    rec.log.diagnostics.update(dt=dt, n_steps=n_steps)
     return rec.log, WaveField(grid, vals)
 
 
@@ -301,7 +298,8 @@ def evolve_self_harmonic(
             "sphere expansion is inaccurate", ratio
         )
     omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
-    dt_max = _check_dt_accuracy(spec, omega_fast) if omega_fast > 0 else None
+    if omega_fast > 0:
+        _check_dt_accuracy(spec, omega_fast)
 
     def self_potential(vals):
         rho = _density(vals)
@@ -310,9 +308,7 @@ def evolve_self_harmonic(
 
     family = _Family(harmonic_external(grid, model.k_ext),
                      self_potential if model.k_self != 0.0 else None)
-    log, final = _evolve(psi0, family, spec, phys)
-    log.diagnostics["dt_max"] = dt_max
-    return log, final
+    return _evolve(psi0, family, spec, phys)
 
 
 def evolve_kernel(

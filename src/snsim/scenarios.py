@@ -118,7 +118,7 @@ class ScenarioConfig:
     kernel_file: Optional[str] = None
     dt: Optional[float] = None
     t_end: Optional[float] = None
-    output_stride: int = 1
+    output_stride: Optional[int] = None
     init_center: Optional[float] = None
     init_width: Optional[float] = None
     init_velocity: float = 0.0
@@ -235,10 +235,14 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
         errors.append("n_points must be a power of two")
     if cfg.x_min is not None and cfg.x_max is not None and cfg.x_min >= cfg.x_max:
         errors.append("x_min must be below x_max")
-    if cfg.output_stride < 1:
+    if cfg.output_stride is not None and cfg.output_stride < 1:
         errors.append("output_stride must be >= 1")
     if cfg.kernel == "custom-table" and not cfg.kernel_file:
         errors.append("kernel_file is required for kernel = custom-table")
+    if cfg.scenario == "ehrenfest":
+        errors += [f"ehrenfest takes no {name}: sphere_mass and sphere_radius "
+                   f"set its interaction" for name in ("k_self", "stiffness_ratio")
+                   if getattr(cfg, name) is not None]
     if None not in (cfg.k_self, cfg.stiffness_ratio, cfg.k_ext):
         implied = cfg.stiffness_ratio * cfg.k_ext
         scale = max(abs(implied), abs(cfg.k_self))
@@ -335,6 +339,52 @@ def _require_outputs(n_steps: int, stride: int, needed: int, check: str):
                           f"times in {n_steps} steps; {check} needs {needed}")
 
 
+def _grid(cfg: ScenarioConfig, half: float) -> Grid1D:
+    """4096 nodes on [-half, half); each config key overrides its own default."""
+    return Grid1D(cfg.n_points if cfg.n_points is not None else 4096,
+                  cfg.x_min if cfg.x_min is not None else -half,
+                  cfg.x_max if cfg.x_max is not None else half)
+
+
+def _steps(cfg: ScenarioConfig, t_end: float, dt: float, frames: Optional[int],
+           needed: int, check: str, store_fields: bool) -> EvolutionSpec:
+    """The fewest equal steps no longer than ``dt`` that end at ``t_end``.
+
+    ``t_end`` and ``dt`` are defaults the config overrides.  The output
+    stride is the config's; failing that, about ``frames`` outputs;
+    failing that, every step.
+    """
+    t_end = cfg.t_end if cfg.t_end is not None else t_end
+    dt = cfg.dt if cfg.dt is not None else dt
+    n_steps = max(1, math.ceil(t_end / dt - 1e-9))
+    if cfg.output_stride is not None:
+        stride = cfg.output_stride
+    else:
+        stride = max(1, n_steps // frames) if frames else 1
+    _require_outputs(n_steps, stride, needed, check)
+    return EvolutionSpec(dt=t_end / n_steps, t_end=t_end, output_stride=stride,
+                         store_fields=store_fields)
+
+
+def _norm_drift(*logs) -> float:
+    """Largest relative change of the squared norm over the runs' outputs."""
+    return max(float(np.max(np.abs(n - n[0]) / n[0]))
+               for n in (np.asarray(log.norm_sq) for log in logs))
+
+
+def _mean_motion_residual(mean: np.ndarray, h: float, k: float,
+                          mass: float) -> float:
+    """Relative residual of the mean-motion law m <x>'' + k <x> = 0."""
+    resid = mass * _second_derivative_5pt(mean, h) + k * mean[2:-2]
+    return float(np.max(np.abs(resid)) / np.max(np.abs(k * mean)))
+
+
+def _grid_velocity(grid: Grid1D, phys: PhysParams, v: float) -> float:
+    """``v`` snapped to a grid wavenumber, so a boost phase stays periodic."""
+    dk = 2.0 * math.pi / grid.length
+    return round(v * phys.mass / (phys.hbar * dk)) * dk * phys.hbar / phys.mass
+
+
 def _second_derivative_5pt(series: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order interior second derivative; loses two points per end."""
     s = np.asarray(series, dtype=float)
@@ -395,22 +445,12 @@ def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
     a_phi = cfg.init_width if cfg.init_width is not None else soliton_width_param(model, phys)
     x_c = cfg.init_center if cfg.init_center is not None else 1.0
 
-    if cfg.x_min is not None and cfg.x_max is not None:
-        x_min, x_max = cfg.x_min, cfg.x_max
-    else:
-        half = math.ceil(9.0 * math.sqrt(0.5 * cfg.pilot_width**2) + 4.0 * (abs(x_c) + 1.0))
-        x_min, x_max = -half, half
-    n = cfg.n_points if cfg.n_points is not None else 4096
-    grid = Grid1D(n, x_min, x_max)
-
+    grid = _grid(cfg, math.ceil(9.0 * math.sqrt(0.5 * cfg.pilot_width**2)
+                                + 4.0 * (abs(x_c) + 1.0)))
     # 200 steps per fast period keeps the width dynamics (the stiffest
     # observable) within the 1e-3 oracle-equivalence budget
-    dt_nominal = cfg.dt if cfg.dt is not None else 2.0 * math.pi / (200.0 * omega_fast)
-    n_steps = max(3, math.ceil(cfg.t_end / dt_nominal - 1e-9))
-    dt = cfg.t_end / n_steps
-    _require_outputs(n_steps, cfg.output_stride, 5, "the mean-motion check")
-    spec = EvolutionSpec(dt=dt, t_end=cfg.t_end, output_stride=cfg.output_stride,
-                         store_fields=True)
+    spec = _steps(cfg, cfg.t_end, 2.0 * math.pi / (200.0 * omega_fast), None,
+                  5, "the mean-motion check", True)
 
     pilot0 = gaussian_packet(grid, cfg.pilot_center, cfg.pilot_width, chirp=cfg.pilot_chirp,
                              norm_sq=1.0, hbar=phys.hbar, mass=phys.mass)
@@ -455,30 +495,17 @@ def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
     amplitude = float(np.max(np.abs(x0s)))
     classical_dev = float(np.max(np.abs(x0s - xs_cl)) / amplitude)
 
-    # mean-motion law of the full wave: m <x>'' + k_ext <x> = 0
-    acc = _second_derivative_5pt(mean_g, stride_dt)
-    ehrenfest_res = phys.mass * acc + model.k_ext * mean_g[2:-2]
-    ehrenfest_rel = float(
-        np.max(np.abs(ehrenfest_res)) / np.max(np.abs(model.k_ext * mean_g))
-    )
-
-    norms = np.concatenate([np.asarray(pilot_log.norm_sq),
-                            np.asarray(full_log.norm_sq)])
-    n_refs = np.concatenate([
-        np.full(len(pilot_log.norm_sq), pilot_log.norm_sq[0]),
-        np.full(len(full_log.norm_sq), full_log.norm_sq[0]),
-    ])
-    norm_drift = float(np.max(np.abs(norms - n_refs) / n_refs))
-
     metrics = {
         "residual_p1_rel": p1_max,
         "p2_max_dev": p2_max,
         "classical_dev": classical_dev,
-        "ehrenfest_rel": ehrenfest_rel,
+        # mean-motion law of the full wave
+        "ehrenfest_rel": _mean_motion_residual(mean_g, stride_dt, model.k_ext,
+                                               phys.mass),
         "norm_rate_max": nr_max,
         "oracle_mean_dev": oracle_mean_dev,
         "oracle_var_dev": oracle_var_dev,
-        "norm_drift": norm_drift,
+        "norm_drift": _norm_drift(pilot_log, full_log),
         "max_v_drift": float(np.max(np.abs([r.v_drift for r in rows]))),
         "soliton_width0": rows[0].width,
     }
@@ -518,32 +545,19 @@ def build_boost(cfg: ScenarioConfig) -> BoostResult:
     if model.k_self <= 0.0:
         raise ConfigError("boost scenario needs k_self > 0")
     a = (phys.hbar**2 / (model.k_self * phys.mass)) ** 0.25
-    n = cfg.n_points if cfg.n_points is not None else 4096
-    if cfg.x_min is not None and cfg.x_max is not None:
-        x_min, x_max = cfg.x_min, cfg.x_max
-    else:
-        x_min, x_max = -16.0, 16.0
-    grid = Grid1D(n, x_min, x_max)
+    grid = _grid(cfg, 16.0)
     center = cfg.init_center if cfg.init_center is not None else -0.5
-
     period = 2.0 * math.pi / math.sqrt(model.k_self / phys.mass)
-    t_end = cfg.t_end if cfg.t_end is not None else period
-    n_steps = math.ceil(t_end / (cfg.dt if cfg.dt is not None else period / 2000.0) - 1e-9)
-    dt = t_end / n_steps
-    stride = cfg.output_stride if cfg.output_stride != 1 else max(1, n_steps // 50)
-    _require_outputs(n_steps, stride, 2, "the boost velocity")
-    spec = EvolutionSpec(dt=dt, t_end=t_end, output_stride=stride,
-                         store_fields=True)
+    spec = _steps(cfg, period, period / 2000.0, 50, 2, "the boost velocity",
+                  True)
 
-    # snap the boost to a grid wavenumber so the phase stays periodic
-    v_req = cfg.init_velocity if cfg.init_velocity != 0.0 else 5.0
-    dk = 2.0 * math.pi / grid.length
-    velocity = round(v_req * phys.mass / (phys.hbar * dk)) * dk * phys.hbar / phys.mass
+    velocity = _grid_velocity(
+        grid, phys, cfg.init_velocity if cfg.init_velocity != 0.0 else 5.0)
     psi0 = gaussian_packet(grid, center, a, velocity=velocity,
                            norm_sq=phys.norm_sq, hbar=phys.hbar, mass=phys.mass)
     log, final = evolve_self_harmonic(psi0, model, spec, phys)
 
-    times, mean_x, _, norm_sq, _ = log.as_arrays()
+    times, mean_x, _, _, _ = log.as_arrays()
     slope = (mean_x[-1] - mean_x[0]) / (times[-1] - times[0])
     velocity_dev = abs(slope - velocity) / abs(velocity)
 
@@ -557,11 +571,10 @@ def build_boost(cfg: ScenarioConfig) -> BoostResult:
             deformation,
             float(np.max(np.abs(np.abs(fld.values) - ref)) / ref.max()),
         )
-    norm_drift = float(np.max(np.abs(norm_sq - norm_sq[0]) / norm_sq[0]))
     metrics = {
         "deformation": deformation,
         "velocity_dev": velocity_dev,
-        "norm_drift": norm_drift,
+        "norm_drift": _norm_drift(log),
         "velocity": velocity,
     }
     return BoostResult(cfg, phys, model, grid, log, final, velocity, metrics)
@@ -595,13 +608,7 @@ def build_ground_state(cfg: ScenarioConfig) -> GroundStateResult1D:
     if k_total <= 0.0:
         raise ConfigError("ground-state scenario needs a confining potential")
     a_pred = (phys.hbar**2 / (k_total * phys.mass)) ** 0.25
-    n = cfg.n_points if cfg.n_points is not None else 4096
-    half = max(16.0, 12.0 * a_pred)
-    if cfg.x_min is not None and cfg.x_max is not None:
-        x_min, x_max = cfg.x_min, cfg.x_max
-    else:
-        x_min, x_max = -half, half
-    grid = Grid1D(n, x_min, x_max)
+    grid = _grid(cfg, max(16.0, 12.0 * a_pred))
     seed = gaussian_packet(grid, 0.0, 2.0 * a_pred, norm_sq=phys.norm_sq,
                            hbar=phys.hbar, mass=phys.mass)
 
@@ -730,57 +737,31 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     cfg = dataclasses.replace(
         cfg, sphere_mass=cfg.sphere_mass if cfg.sphere_mass is not None else 1.0,
         sphere_radius=cfg.sphere_radius if cfg.sphere_radius is not None else 5.0)
-    k_self = self_stiffness(phys.G, cfg.sphere_mass, cfg.sphere_radius,
-                            phys.norm_sq)
-    model = HarmonicModelParams(k_ext=cfg.k_ext if cfg.k_ext is not None else 1.0,
-                                k_self=k_self, sphere_mass=cfg.sphere_mass,
-                                sphere_radius=cfg.sphere_radius)
+    model = _resolve_model(cfg, default_k_ext=1.0)
     if model.k_ext <= 0.0:
         raise ConfigError("ehrenfest needs k_ext > 0 for its trapped run")
     kernel = _resolve_kernel(cfg, phys, model)
-    n = cfg.n_points if cfg.n_points is not None else 4096
-    grid = Grid1D(n, cfg.x_min if cfg.x_min is not None else -32.0,
-                  cfg.x_max if cfg.x_max is not None else 32.0)
-    t_end = cfg.t_end if cfg.t_end is not None else 2.0
-    dt_nominal = cfg.dt if cfg.dt is not None else 2e-3
-    n_steps = math.ceil(t_end / dt_nominal - 1e-9)
-    dt = t_end / n_steps
-    stride = cfg.output_stride if cfg.output_stride != 1 else max(1, n_steps // 200)
-    _require_outputs(n_steps, stride, 5, "the mean-motion check")
-    spec = EvolutionSpec(dt=dt, t_end=t_end, output_stride=stride,
-                         store_fields=False)
+    grid = _grid(cfg, 32.0)
+    spec = _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check", False)
     width = cfg.init_width if cfg.init_width is not None else 1.0
-    dk = 2.0 * math.pi / grid.length
-    v_snap = round(1.0 * phys.mass / (phys.hbar * dk)) * dk * phys.hbar / phys.mass
 
-    zero_pot = np.zeros(grid.n_points)
-    psi_free = gaussian_packet(grid, -2.0, width, velocity=v_snap,
+    psi_free = gaussian_packet(grid, -2.0, width,
+                               velocity=_grid_velocity(grid, phys, 1.0),
                                norm_sq=phys.norm_sq, hbar=phys.hbar,
                                mass=phys.mass)
-    log_free, _ = evolve_kernel(psi_free, kernel, zero_pot, spec, phys)
-    t_free, mean_free, _, norm_free, _ = log_free.as_arrays()
-    h = t_free[1] - t_free[0]
-    free_acc = _second_derivative_5pt(mean_free, h)
-    free_acc_max = float(np.max(np.abs(free_acc)))
-
-    v_ext = harmonic_external(grid, model.k_ext)
+    log_free, _ = evolve_kernel(psi_free, kernel, np.zeros(grid.n_points),
+                                spec, phys)
     psi_trap = gaussian_packet(grid, 1.5, width, norm_sq=phys.norm_sq,
                                hbar=phys.hbar, mass=phys.mass)
-    log_trap, _ = evolve_kernel(psi_trap, kernel, v_ext, spec, phys)
-    t_trap, mean_trap, _, norm_trap, _ = log_trap.as_arrays()
-    acc = _second_derivative_5pt(mean_trap, h)
-    resid = phys.mass * acc + model.k_ext * mean_trap[2:-2]
-    trapped_rel = float(np.max(np.abs(resid)) /
-                        np.max(np.abs(model.k_ext * mean_trap)))
-
-    norm_drift = max(
-        float(np.max(np.abs(norm_free - norm_free[0]) / norm_free[0])),
-        float(np.max(np.abs(norm_trap - norm_trap[0]) / norm_trap[0])),
-    )
+    log_trap, _ = evolve_kernel(psi_trap, kernel,
+                                harmonic_external(grid, model.k_ext), spec, phys)
+    h = log_free.times[1] - log_free.times[0]
     metrics = {
-        "free_acc_max": free_acc_max,
-        "trapped_rel": trapped_rel,
-        "norm_drift": norm_drift,
+        "free_acc_max": float(np.max(np.abs(
+            _second_derivative_5pt(log_free.mean_x, h)))),
+        "trapped_rel": _mean_motion_residual(np.asarray(log_trap.mean_x), h,
+                                             model.k_ext, phys.mass),
+        "norm_drift": _norm_drift(log_free, log_trap),
     }
     return EhrenfestResult(cfg, phys, metrics)
 
@@ -808,7 +789,7 @@ def build_custom(cfg: ScenarioConfig) -> CustomResult:
         raise ConfigError([f"custom scenario requires key '{k}'" for k in missing])
     grid = Grid1D(cfg.n_points, cfg.x_min, cfg.x_max)
     spec = EvolutionSpec(dt=cfg.dt, t_end=cfg.t_end,
-                         output_stride=cfg.output_stride,
+                         output_stride=cfg.output_stride or 1,
                          store_fields=cfg.snapshots)
     _require_outputs(spec.n_steps, spec.output_stride, 2, "norm-conservation")
     psi0 = gaussian_packet(grid, cfg.init_center, cfg.init_width,
@@ -825,9 +806,7 @@ def build_custom(cfg: ScenarioConfig) -> CustomResult:
         log, final = evolve_self_harmonic(psi0, model, spec, phys)
     else:
         log, final = evolve_linear(psi0, v_ext, spec, phys)
-    norms = np.asarray(log.norm_sq)
-    norm_drift = float(np.max(np.abs(norms - norms[0]) / norms[0]))
-    return CustomResult(cfg, log, final, {"norm_drift": norm_drift})
+    return CustomResult(cfg, log, final, {"norm_drift": _norm_drift(log)})
 
 
 def _snapshots(cfg: ScenarioConfig, *runs) -> List[Path]:
@@ -900,11 +879,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunReport:
     errors = validate_config(cfg)
     if errors:
         raise ConfigError(errors)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     builder, writer = _SCENARIO_TABLE[cfg.scenario]
     result = globals()[builder](cfg)
+    # made only now, so a run its builder refuses leaves no directory
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = [str(path) for path in writer(result, out)]
     checks = result.checks()
     metrics = result.metrics

@@ -238,6 +238,15 @@ class TestStiffnessConsistency:
         with pytest.raises(ConfigError):
             validate_self_stiffness(model, phys)
 
+    @pytest.mark.parametrize("mass, radius", [(1e200, 1.0), (1.0, 1e-200),
+                                              (1e-200, 1e-200)])
+    def test_non_finite_stiffness_refused(self, mass, radius):
+        # M**2 overflows, R**3 underflows to zero, or both numerator and
+        # denominator do: a ConfigError naming the keys, not a traceback
+        with pytest.raises(ConfigError) as err:
+            self_stiffness(1.0, mass, radius, 1.0)
+        assert "sphere_mass" in str(err.value) and "sphere_radius" in str(err.value)
+
 
 class TestKernelTable:
     def test_round_trip(self, tmp_path):

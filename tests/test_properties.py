@@ -98,6 +98,15 @@ def test_valid_config_runs_or_raises_simulation_error(cfg):
             pass
 
 
+@PROPERTY
+@given(st.sampled_from(SCENARIOS), st.fixed_dictionaries({
+    k: st.floats(allow_nan=False, allow_infinity=False)
+    for k in ("G", "norm_sq", "sphere_mass", "sphere_radius", "k_self")}))
+def test_validate_config_never_raises_on_sphere_keys(scenario, values):
+    # overflowing and underflowing sphere stiffnesses included
+    assert isinstance(validate_config(ScenarioConfig(scenario, **values)), list)
+
+
 GRID = Grid1D(64, -8.0, 8.0)
 
 

@@ -2,16 +2,22 @@ import dataclasses
 
 import pytest
 
+import snsim.scenarios
 from snsim.cli import main
 from snsim.errors import ConfigError
 from snsim.propagate import read_snapshot
 from snsim.scenarios import (
     ScenarioConfig,
     _resolve_model,
+    build_boost,
+    build_ehrenfest,
+    build_figure1,
+    build_ground_state,
     parse_config,
     render_config,
     run_scenario,
     sweep,
+    validate_config,
 )
 
 # a cheap but resolved oscillating-soliton configuration for CLI tests
@@ -123,6 +129,64 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(text + "\n")
         assert set(err.value.errors) == expected
+
+
+    @pytest.mark.parametrize("key", ["k_self", "stiffness_ratio"])
+    def test_ehrenfest_refuses_stiffness_keys(self, key):
+        # ehrenfest simulates the sphere's stiffness; an explicit one was
+        # accepted and silently ignored
+        errors = validate_config(ScenarioConfig(scenario="ehrenfest",
+                                                **{key: 3.0}))
+        assert errors == [f"ehrenfest takes no {key}: sphere_mass and "
+                          f"sphere_radius set its interaction"]
+
+
+class TestRunPlan:
+    """Grid, steps and output stride resolved from the config."""
+
+    def test_boost_explicit_stride_one(self):
+        # 504 steps: an explicit stride of 1 logs every one, where an
+        # unset stride gives about 50 outputs
+        cfg = ScenarioConfig(scenario="boost", n_points=1024, t_end=0.05)
+        explicit = build_boost(dataclasses.replace(cfg, output_stride=1))
+        assert len(explicit.log.times) == 505
+        assert len(build_boost(cfg).log.times) == 51
+
+    def test_ehrenfest_explicit_stride_one(self, monkeypatch):
+        lengths = []
+        evolve = snsim.scenarios.evolve_kernel
+
+        def recording(*args):
+            log, final = evolve(*args)
+            lengths.append(len(log.times))
+            return log, final
+
+        monkeypatch.setattr(snsim.scenarios, "evolve_kernel", recording)
+        # 400 steps: an unset stride would give about 200 outputs
+        build_ehrenfest(ScenarioConfig(scenario="ehrenfest", n_points=1024,
+                                       t_end=0.8, output_stride=1))
+        assert lengths == [401, 401]
+
+    @pytest.mark.parametrize("build, scenario, x_max", [
+        (build_figure1, "figure1", 44.0),
+        (build_boost, "boost", 16.0),
+        (build_ground_state, "ground-state", 16.0),
+    ])
+    def test_lone_x_min_reaches_grid(self, build, scenario, x_max):
+        # a lone x_min keeps the scenario's default x_max
+        cfg = ScenarioConfig(scenario=scenario, n_points=1024, x_min=-20.0)
+        if scenario != "ground-state":
+            cfg = dataclasses.replace(cfg, t_end=0.05)
+        result = build(cfg)
+        grid = result.field.grid if scenario == "ground-state" else result.grid
+        assert (grid.x_min, grid.x_max) == (-20.0, x_max)
+
+    def test_refused_run_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="output times"):
+            run_scenario(ScenarioConfig(scenario="figure1", n_points=1024,
+                                        output_stride=500), out)
+        assert not out.exists()
 
 
 class TestRunScenario:
@@ -288,10 +352,10 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sw" / "sweep.tsv").exists()
 
-    def _sweep_rejected(self, tmp_path, capsys, param, values):
+    def _sweep_rejected(self, tmp_path, capsys, param, values, *extra):
         out = tmp_path / "sw"
         code = main(["sweep", "--param", param, "--values", values,
-                     "--out", str(out)])
+                     "--out", str(out), *extra])
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and "Traceback" not in err
@@ -404,6 +468,53 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == [
             "k_ext_20", "k_self_10", "k_self_10.0", "k_self_30",
             "k_self_notes", "sweep.tsv"]
+
+    def test_sweep_ehrenfest_k_self_rejected(self, tmp_path, capsys):
+        err = self._sweep_rejected(tmp_path, capsys, "k_self", "3",
+                                   "--scenario", "ehrenfest")
+        assert "sphere_mass and sphere_radius" in err
+
+    def test_ehrenfest_k_self_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "ehr.cfg"
+        cfg_path.write_text("scenario = ehrenfest\nk_self = 3\n")
+        code = main(["run", "ehrenfest", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "ehrenfest takes no k_self" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sphere", [
+        "sphere_mass = 1e200\nsphere_radius = 1\n",
+        "sphere_mass = 1\nsphere_radius = 1e-200\n",
+    ], ids=["mass-overflow", "radius-underflow"])
+    def test_non_finite_sphere_stiffness(self, tmp_path, capsys, sphere):
+        err = self._run_custom(tmp_path, capsys, sphere + "k_self = 1\n")
+        assert "sphere_mass" in err and "sphere_radius" in err
+
+    def test_ehrenfest_vanishing_t_end(self, tmp_path, capsys):
+        # far below one default step: one step, too few outputs, not a
+        # division by zero steps
+        cfg_path = tmp_path / "ehr.cfg"
+        cfg_path.write_text("scenario = ehrenfest\nt_end = 1e-12\n")
+        code = main(["run", "ehrenfest", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "output times" in err and "Traceback" not in err
+
+    def test_sweep_member_refused_at_build(self, tmp_path, capsys):
+        # stride 500 leaves figure1 too few output times, which only the
+        # builder can tell: an ERROR row, exit 1, and no member directory
+        cfg_path = tmp_path / "fig.cfg"
+        cfg_path.write_text(SMALL_FIG_TEXT)
+        out = tmp_path / "sw"
+        code = main(["sweep", "--param", "output_stride", "--values", "1,500",
+                     "--config", str(cfg_path), "--out", str(out)])
+        stdout = capsys.readouterr().out
+        assert code == 1
+        assert "output_stride=500: ERROR" in stdout
+        assert sorted(p.name for p in out.iterdir()) == [
+            "output_stride_1", "sweep.tsv"]
 
     def test_check_exit_codes(self, monkeypatch, capsys):
         from snsim.scenarios import CheckResult
