@@ -12,7 +12,6 @@ spectrum checks.
 from .choquard import (
     GroundStateResult,
     RadialGrid,
-    SpectrumFit,
     energy_functional,
     radial_newton_potential,
     solve_ground_state,
@@ -24,7 +23,6 @@ from .errors import (
     ConvergenceError,
     DegenerateInputError,
     ExtractionError,
-    GridMismatchError,
     NonFiniteFieldError,
     SimulationError,
 )
@@ -33,7 +31,6 @@ from .fields import (
     PhaseAmplitude,
     WaveField,
     gaussian_packet,
-    inner_product,
     moments,
     phase_amplitude,
     spectral_gradient,
@@ -45,7 +42,6 @@ from .guidance import (
     decompose_run,
     extract_soliton,
     guidance_law_report,
-    norm_rate_residual,
     reciprocity_report,
     v_dbb,
     v_drift_series,

@@ -32,7 +32,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -46,6 +45,8 @@ FOUR_PI = 4.0 * np.pi
 # Gaussian width of the relaxation seed and the first backward-Euler step
 SEED_WIDTH = 3.0
 DTAU0 = 2.0
+# constants (a, b, c) of the published bound-state energy fit e_n = a/(n+b)^c
+SPECTRUM_FIT = (0.096, 0.76, 2.00)
 
 
 @dataclass(frozen=True)
@@ -74,24 +75,12 @@ class RadialGrid:
         return (np.arange(self.n_points) + 0.5) * self.dr
 
 
-@dataclass(frozen=True)
-class SpectrumFit:
-    """Constants of the bound-state energy fit e_n = a / (n + b)^c."""
-
-    a: float = 0.096
-    b: float = 0.76
-    c: float = 2.00
-
-    def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0 or self.c < 0.0:
-            raise ConfigError("spectrum constants must be positive")
-
-
-def spectrum_value(n: int, fit: SpectrumFit = SpectrumFit()) -> float:
+def spectrum_value(n: int) -> float:
     """Dimensionless level magnitude e_n = a/(n+b)^c."""
     if n < 0:
         raise ConfigError("level index must be >= 0")
-    return fit.a / (n + fit.b) ** fit.c
+    a, b, c = SPECTRUM_FIT
+    return a / (n + b) ** c
 
 
 @dataclass(frozen=True)
@@ -278,13 +267,10 @@ def solve_ground_state(
     )
 
 
-def append_result_record(path, result: GroundStateResult):
-    """Append one `N_sq E0 E_functional extent iters` line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as fh:
-        fh.write(
-            f"{result.norm_sq:.17g}\t{result.eigenvalue:.17g}\t"
-            f"{result.functional_energy:.17g}\t{result.extent:.17g}\t"
-            f"{result.iters}\n"
-        )
+def write_result_records(path, results) -> None:
+    """Write one `N_sq E0 E_functional extent iters` line per result."""
+    with open(path, "w") as fh:
+        for r in results:
+            fh.write(f"{r.norm_sq:.17g}\t{r.eigenvalue:.17g}\t"
+                     f"{r.functional_energy:.17g}\t{r.extent:.17g}\t"
+                     f"{r.iters}\n")

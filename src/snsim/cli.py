@@ -10,7 +10,6 @@ Exit status is 0 exactly when every check of the invocation passed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -19,23 +18,28 @@ from .errors import ConfigError, SimulationError
 from .scenarios import (
     SCENARIOS,
     ScenarioConfig,
-    parse_config,
+    _config_problems,
+    _parse_lines,
     run_scenario,
     sweep,
 )
 
 
 def _load_config(path, scenario=None) -> ScenarioConfig:
-    # unvalidated: run_scenario and sweep validate what they run
-    cfg = ScenarioConfig()
+    # key and owner rules; run_scenario and sweep check the plans they run
+    values, errors = {}, []
     if path is not None:
         try:
             text = Path(path).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
-        cfg = parse_config(text)
+        values, errors = _parse_lines(text)
     if scenario is not None:
-        cfg = dataclasses.replace(cfg, scenario=scenario)
+        values["scenario"] = scenario
+    cfg = ScenarioConfig(**values)
+    errors += _config_problems(cfg)
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 

@@ -26,10 +26,6 @@ class ConfigError(SimulationError):
         super().__init__("; ".join(self.errors))
 
 
-class GridMismatchError(ConfigError):
-    """Two fields that must share a grid do not."""
-
-
 class DegenerateInputError(SimulationError):
     """An input field has zero norm where a positive norm is required."""
 

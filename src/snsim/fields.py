@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError, GridMismatchError
+from .errors import ConfigError, DegenerateInputError
 
 # |f| below this fraction of max|f| is unusable in pointwise ratios
 MASK_RELATIVE_THRESHOLD = 1e-8
@@ -120,21 +120,10 @@ class FieldMoments(NamedTuple):
     covariance: float  # Re<(x-<x>)(p-<p>)>, sets the variance rate 2C/m
 
 
-def _require_same_grid(f: WaveField, g: WaveField):
-    if f.grid != g.grid:
-        raise GridMismatchError("fields are defined on different grids")
-
-
 def squared_norm(f: WaveField) -> float:
     """Integral of |f|^2 over the domain."""
     v = f.values
     return float(np.sum(v.real * v.real + v.imag * v.imag) * f.grid.dx)
-
-
-def inner_product(f: WaveField, g: WaveField) -> complex:
-    """L2 inner product <f|g> = integral conj(f) g dx."""
-    _require_same_grid(f, g)
-    return complex(np.sum(np.conj(f.values) * g.values) * f.grid.dx)
 
 
 def spectral_gradient(f: WaveField) -> WaveField:

@@ -179,24 +179,6 @@ def v_drift_series(times: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return out
 
 
-def norm_rate_residual(
-    psi_l: WaveField,
-    state: SolitonState,
-    measured_rate: float,
-    phys: PhysParams = PhysParams(),
-) -> float:
-    """Relative residual of the norm-rate law at one time.
-
-    Compares the measured d<phi|phi>/dt against
-    (hbar/m) lap(arg psi_l)(x0) <phi|phi> - 2 (grad A/A)(x0) m v_int
-    <phi|phi> / m, normalized by the larger of the two sides.
-    """
-    pa = phase_amplitude(psi_l)
-    rhs = _norm_rate_rhs(pa, psi_l.grid, state, v_int(state, phys), phys)
-    denom = max(abs(measured_rate), abs(rhs), RESIDUAL_FLOOR)
-    return (measured_rate - rhs) / denom
-
-
 def _norm_rate_rhs(pa: PhaseAmplitude, grid, state: SolitonState,
                    vint: float, phys: PhysParams) -> float:
     lap = _interp_valid(grid, pa.phase_laplacian, pa.valid, state.x0)

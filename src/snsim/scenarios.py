@@ -24,15 +24,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .choquard import (
     RadialGrid,
-    append_result_record,
     solve_ground_state,
     spectrum_value,
+    write_result_records,
 )
 from .errors import ConfigError, SimulationError
 from .fields import Grid1D, WaveField, gaussian_packet, moments, squared_norm
@@ -53,6 +53,7 @@ from .oracles import (
 )
 from .potentials import (
     STIFFNESS_CONSISTENCY_RTOL,
+    ConvolutionKernel,
     HarmonicModelParams,
     PhysParams,
     harmonic_external,
@@ -65,6 +66,7 @@ from .potentials import (
 from .propagate import (
     EvolutionSpec,
     TrajectoryLog,
+    _check_dt_accuracy,
     _kinetic_energy,
     evolve_kernel,
     evolve_linear,
@@ -140,8 +142,8 @@ _TRUE_WORDS = {"on", "true", "yes", "1"}
 _FALSE_WORDS = {"off", "false", "no", "0"}
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a flat key=value config, reporting all errors."""
+def _parse_lines(text: str) -> tuple[dict, List[str]]:
+    """The keys a flat key=value config sets, and its line-level problems."""
     errors: List[str] = []
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -163,28 +165,28 @@ def parse_config(text: str) -> ScenarioConfig:
         if key in _STR_KEYS:
             values[key] = val
         elif key in _BOOL_KEYS:
-            low = val.lower()
-            if low in _TRUE_WORDS:
-                values[key] = True
-            elif low in _FALSE_WORDS:
-                values[key] = False
+            if val.lower() in _TRUE_WORDS | _FALSE_WORDS:
+                values[key] = val.lower() in _TRUE_WORDS
             else:
                 errors.append(f"line {lineno}: {key} must be on/off")
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                errors.append(f"line {lineno}: {key} must be an integer")
         else:
+            number, kind = ((int, "an integer") if key in _INT_KEYS
+                            else (float, "numeric"))
             try:
-                parsed = float(val)
+                parsed = number(val)
             except ValueError:
-                errors.append(f"line {lineno}: {key} must be numeric")
+                errors.append(f"line {lineno}: {key} must be {kind}")
             else:
-                if not math.isfinite(parsed):
-                    errors.append(f"line {lineno}: {key} must be finite")
-                else:
+                if math.isfinite(parsed):
                     values[key] = parsed
+                else:
+                    errors.append(f"line {lineno}: {key} must be finite")
+    return values, errors
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse and validate a flat key=value config, reporting all errors."""
+    values, errors = _parse_lines(text)
     # report line-level and rule-level problems together so a config can
     # be fixed in one pass
     cfg = ScenarioConfig(**values)
@@ -195,12 +197,20 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def validate_config(cfg: ScenarioConfig) -> List[str]:
-    """All rule violations of a config, empty when valid.
+    """All rule violations of a config, empty when valid: the key and
+    owner rules at once, then, once they pass, the scenario's plan."""
+    errors = _config_problems(cfg)
+    if not errors:
+        try:
+            _SCENARIO_TABLE[cfg.scenario][0](cfg)
+        except ConfigError as exc:
+            errors = exc.errors
+    return errors
 
-    The rules a type owns come from building it from the config.  Stated
-    here are the rules no type owns, and those of Grid1D and
-    EvolutionSpec, whose keys the scenarios fill in.
-    """
+
+def _config_problems(cfg: ScenarioConfig) -> List[str]:
+    """The rules no type owns, and those of the types built from the keys
+    alone; a scenario's own rules and its grid and steps are its plan's."""
     errors: List[str] = []
 
     def owner(build, *args):
@@ -230,19 +240,8 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
             errors.append(f"{name} must be > 0")
     if not (0.0 < cfg.variance_ratio < 1.0):
         errors.append("variance_ratio must lie in (0, 1)")
-    n = cfg.n_points
-    if n is not None and (n <= 0 or (n & (n - 1)) != 0):
-        errors.append("n_points must be a power of two")
-    if cfg.x_min is not None and cfg.x_max is not None and cfg.x_min >= cfg.x_max:
-        errors.append("x_min must be below x_max")
-    if cfg.output_stride is not None and cfg.output_stride < 1:
-        errors.append("output_stride must be >= 1")
     if cfg.kernel == "custom-table" and not cfg.kernel_file:
         errors.append("kernel_file is required for kernel = custom-table")
-    if cfg.scenario == "ehrenfest":
-        errors += [f"ehrenfest takes no {name}: sphere_mass and sphere_radius "
-                   f"set its interaction" for name in ("k_self", "stiffness_ratio")
-                   if getattr(cfg, name) is not None]
     if None not in (cfg.k_self, cfg.stiffness_ratio, cfg.k_ext):
         implied = cfg.stiffness_ratio * cfg.k_ext
         scale = max(abs(implied), abs(cfg.k_self))
@@ -304,6 +303,18 @@ def _check(name, value, threshold, note="") -> CheckResult:
                        float(threshold), note)
 
 
+class RunPlan(NamedTuple):
+    """What a scenario runs, built from its config with every rule checked;
+    the parts a scenario does not use are None."""
+
+    cfg: ScenarioConfig  # with the keys the scenario derives filled in
+    phys: PhysParams
+    model: Optional[HarmonicModelParams] = None
+    grid: object = None  # Grid1D, or RadialGrid for choquard
+    spec: Optional[EvolutionSpec] = None
+    kernel: Optional[ConvolutionKernel] = None
+
+
 def _resolve_phys(cfg: ScenarioConfig) -> PhysParams:
     return PhysParams(mass=cfg.mass, G=cfg.G, norm_sq=cfg.norm_sq)
 
@@ -320,10 +331,8 @@ def _resolve_model(cfg: ScenarioConfig, default_k_ext, default_ratio=None,
                                 cfg.norm_sq)
     elif default_ratio is not None:
         k_self = default_ratio * k_ext
-    elif default_k_self is not None:
+    else:  # callers passing no default_k_self set k_self or both sphere keys
         k_self = default_k_self
-    else:
-        raise ConfigError("k_self is undetermined: set k_self or stiffness_ratio")
     model = HarmonicModelParams(k_ext=k_ext, k_self=k_self,
                                 sphere_mass=cfg.sphere_mass,
                                 sphere_radius=cfg.sphere_radius)
@@ -361,9 +370,10 @@ def _steps(cfg: ScenarioConfig, t_end: float, dt: float, frames: Optional[int],
         stride = cfg.output_stride
     else:
         stride = max(1, n_steps // frames) if frames else 1
-    _require_outputs(n_steps, stride, needed, check)
-    return EvolutionSpec(dt=t_end / n_steps, t_end=t_end, output_stride=stride,
+    spec = EvolutionSpec(dt=t_end / n_steps, t_end=t_end, output_stride=stride,
                          store_fields=store_fields)
+    _require_outputs(n_steps, stride, needed, check)
+    return spec
 
 
 def _norm_drift(*logs) -> float:
@@ -438,29 +448,33 @@ def _figure1_physics(cfg: ScenarioConfig):
     return phys, model, math.sqrt((model.k_ext + model.k_self) / phys.mass)
 
 
-def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
-    """Run the oscillating-soliton configuration and analyze it."""
+def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
     cfg = resolve_sweep_window(cfg)  # sets t_end and pilot_width
+    if cfg.init_center is None:
+        cfg = dataclasses.replace(cfg, init_center=1.0)
     phys, model, omega_fast = _figure1_physics(cfg)
-    a_phi = cfg.init_width if cfg.init_width is not None else soliton_width_param(model, phys)
-    x_c = cfg.init_center if cfg.init_center is not None else 1.0
-
     grid = _grid(cfg, math.ceil(9.0 * math.sqrt(0.5 * cfg.pilot_width**2)
-                                + 4.0 * (abs(x_c) + 1.0)))
+                                + 4.0 * (abs(cfg.init_center) + 1.0)))
     # 200 steps per fast period keeps the width dynamics (the stiffest
     # observable) within the 1e-3 oracle-equivalence budget
     spec = _steps(cfg, cfg.t_end, 2.0 * math.pi / (200.0 * omega_fast), None,
                   5, "the mean-motion check", True)
+    _check_dt_accuracy(spec, omega_fast)
+    return RunPlan(cfg, phys, model, grid, spec)
+
+
+def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
+    """Run the oscillating-soliton configuration and analyze it."""
+    cfg, phys, model, grid, spec, _ = _plan_figure1(cfg)
+    a_phi = cfg.init_width if cfg.init_width is not None else soliton_width_param(model, phys)
 
     pilot0 = gaussian_packet(grid, cfg.pilot_center, cfg.pilot_width, chirp=cfg.pilot_chirp,
                              norm_sq=1.0, hbar=phys.hbar, mass=phys.mass)
-    soliton0 = gaussian_packet(grid, x_c, a_phi, norm_sq=1.0,
+    soliton0 = gaussian_packet(grid, cfg.init_center, a_phi, norm_sq=1.0,
                                hbar=phys.hbar, mass=phys.mass)
-    product = pilot0.values * soliton0.values
-    full0 = WaveField(grid, product)
+    full0 = WaveField(grid, pilot0.values * soliton0.values)
     full0 = full0.with_values(
-        full0.values * math.sqrt(phys.norm_sq / squared_norm(full0))
-    )
+        full0.values * math.sqrt(phys.norm_sq / squared_norm(full0)))
 
     v_ext = harmonic_external(grid, model.k_ext)
     pilot_log, pilot_final = evolve_linear(pilot0, v_ext, spec, phys)
@@ -536,20 +550,31 @@ class BoostResult:
         ]
 
 
-def build_boost(cfg: ScenarioConfig) -> BoostResult:
-    """Boosted self-trapped ground state translating without external trap."""
+def _stationary_width(model: HarmonicModelParams, phys: PhysParams) -> float:
+    """Ground-state width (hbar^2 / ((k_ext + k_self) m))^(1/4) in the traps."""
+    return (phys.hbar**2 / ((model.k_ext + model.k_self) * phys.mass)) ** 0.25
+
+
+def _plan_boost(cfg: ScenarioConfig) -> RunPlan:
     phys = _resolve_phys(cfg)
     model = _resolve_model(cfg, default_k_ext=0.0, default_k_self=1000.0)
     if model.k_ext != 0.0:
         raise ConfigError("boost scenario requires k_ext = 0")
     if model.k_self <= 0.0:
         raise ConfigError("boost scenario needs k_self > 0")
-    a = (phys.hbar**2 / (model.k_self * phys.mass)) ** 0.25
-    grid = _grid(cfg, 16.0)
-    center = cfg.init_center if cfg.init_center is not None else -0.5
-    period = 2.0 * math.pi / math.sqrt(model.k_self / phys.mass)
+    omega = math.sqrt(model.k_self / phys.mass)
+    period = 2.0 * math.pi / omega
     spec = _steps(cfg, period, period / 2000.0, 50, 2, "the boost velocity",
                   True)
+    _check_dt_accuracy(spec, omega)
+    return RunPlan(cfg, phys, model, _grid(cfg, 16.0), spec)
+
+
+def build_boost(cfg: ScenarioConfig) -> BoostResult:
+    """Boosted self-trapped ground state translating without external trap."""
+    _, phys, model, grid, spec, _ = _plan_boost(cfg)
+    a = _stationary_width(model, phys)
+    center = cfg.init_center if cfg.init_center is not None else -0.5
 
     velocity = _grid_velocity(
         grid, phys, cfg.init_velocity if cfg.init_velocity != 0.0 else 5.0)
@@ -600,15 +625,20 @@ class GroundStateResult1D:
         ]
 
 
-def build_ground_state(cfg: ScenarioConfig) -> GroundStateResult1D:
-    """Imaginary-time relaxation of the 1D trapped self-attracting packet."""
+def _plan_ground_state(cfg: ScenarioConfig) -> RunPlan:
     phys = _resolve_phys(cfg)
     model = _resolve_model(cfg, default_k_ext=0.0, default_k_self=10.0)
-    k_total = model.k_ext + model.k_self
-    if k_total <= 0.0:
+    if model.k_ext + model.k_self <= 0.0:
         raise ConfigError("ground-state scenario needs a confining potential")
-    a_pred = (phys.hbar**2 / (k_total * phys.mass)) ** 0.25
-    grid = _grid(cfg, max(16.0, 12.0 * a_pred))
+    grid = _grid(cfg, max(16.0, 12.0 * _stationary_width(model, phys)))
+    return RunPlan(cfg, phys, model, grid)
+
+
+def build_ground_state(cfg: ScenarioConfig) -> GroundStateResult1D:
+    """Imaginary-time relaxation of the 1D trapped self-attracting packet."""
+    _, phys, model, grid, _, _ = _plan_ground_state(cfg)
+    k_total = model.k_ext + model.k_self
+    a_pred = _stationary_width(model, phys)
     seed = gaussian_packet(grid, 0.0, 2.0 * a_pred, norm_sq=phys.norm_sq,
                            hbar=phys.hbar, mass=phys.mass)
 
@@ -663,10 +693,14 @@ class ChoquardScenarioResult:
         ]
 
 
+def _plan_choquard(cfg: ScenarioConfig) -> RunPlan:
+    return RunPlan(cfg, _resolve_phys(cfg), None,
+                   RadialGrid(cfg.radial_points, cfg.r_max))
+
+
 def build_choquard(cfg: ScenarioConfig) -> ChoquardScenarioResult:
     """Radial ground states at N^2 and 2 N^2 plus the published-fit checks."""
-    phys = _resolve_phys(cfg)
-    grid = RadialGrid(cfg.radial_points, cfg.r_max)
+    _, phys, _, grid, _, _ = _plan_choquard(cfg)
     base = solve_ground_state(phys, cfg.norm_sq, tol=cfg.relax_tol, grid=grid)
     doubled = solve_ground_state(phys, 2.0 * cfg.norm_sq, tol=cfg.relax_tol,
                                  grid=grid)
@@ -675,9 +709,8 @@ def build_choquard(cfg: ScenarioConfig) -> ChoquardScenarioResult:
     # law (eigenvalue ~ N^4, functional ~ N^6 in the squared norm N^2)
     # maps any norm back to it
     dev_eig = abs(abs(base.eigenvalue) / cfg.norm_sq**2 / e_expected - 1.0)
-    dev_func = abs(
-        abs(base.functional_energy) / cfg.norm_sq**3 / e_expected - 1.0
-    )
+    dev_func = abs(abs(base.functional_energy) / cfg.norm_sq**3 / e_expected
+                   - 1.0)
     if dev_eig <= dev_func:
         matched, e0_dev = "eigenvalue", dev_eig
     else:
@@ -717,20 +750,18 @@ class EhrenfestResult:
 
 def _resolve_kernel(cfg: ScenarioConfig, phys: PhysParams,
                     model: HarmonicModelParams):
-    if cfg.kernel == "sphere-quadratic":
-        return sphere_quadratic_kernel(phys, model)
+    """The kernel of a run whose ``kernel`` key is not "none"."""
     if cfg.kernel == "custom-table":
         return load_kernel_table(cfg.kernel_file, phys)
-    raise ConfigError(f"scenario needs a self-interaction kernel, got '{cfg.kernel}'")
+    return sphere_quadratic_kernel(phys, model)
 
 
-def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
-    """Mean-motion checks for a kernel self-interaction.
-
-    Free flight: the self-force averages to zero, so the packet mean
-    moves on a straight line.  In a trap the mean obeys the classical
-    oscillator equation exactly.
-    """
+def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
+    stray = [f"ehrenfest takes no {name}: sphere_mass and sphere_radius set "
+             f"its interaction" for name in ("k_self", "stiffness_ratio")
+             if getattr(cfg, name) is not None]
+    if stray:
+        raise ConfigError(stray)
     phys = _resolve_phys(cfg)
     if cfg.kernel == "none":
         cfg = dataclasses.replace(cfg, kernel="sphere-quadratic")
@@ -741,8 +772,19 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     if model.k_ext <= 0.0:
         raise ConfigError("ehrenfest needs k_ext > 0 for its trapped run")
     kernel = _resolve_kernel(cfg, phys, model)
-    grid = _grid(cfg, 32.0)
-    spec = _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check", False)
+    return RunPlan(cfg, phys, model, _grid(cfg, 32.0),
+                   _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check",
+                          False), kernel)
+
+
+def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
+    """Mean-motion checks for a kernel self-interaction.
+
+    Free flight: the self-force averages to zero, so the packet mean
+    moves on a straight line.  In a trap the mean obeys the classical
+    oscillator equation exactly.
+    """
+    cfg, phys, model, grid, spec, kernel = _plan_ehrenfest(cfg)
     width = cfg.init_width if cfg.init_width is not None else 1.0
 
     psi_free = gaussian_packet(grid, -2.0, width,
@@ -778,8 +820,8 @@ class CustomResult:
                        NORM_DRIFT_TOL)]
 
 
-def build_custom(cfg: ScenarioConfig) -> CustomResult:
-    """Generic single-wave run driven entirely by the config."""
+def _plan_custom(cfg: ScenarioConfig) -> RunPlan:
+    """A kernel run, a self-harmonic run for k_self > 0, else a linear one."""
     phys = _resolve_phys(cfg)
     required = {"n_points": cfg.n_points, "x_min": cfg.x_min,
                 "x_max": cfg.x_max, "dt": cfg.dt, "t_end": cfg.t_end,
@@ -789,20 +831,32 @@ def build_custom(cfg: ScenarioConfig) -> CustomResult:
         raise ConfigError([f"custom scenario requires key '{k}'" for k in missing])
     grid = Grid1D(cfg.n_points, cfg.x_min, cfg.x_max)
     spec = EvolutionSpec(dt=cfg.dt, t_end=cfg.t_end,
-                         output_stride=cfg.output_stride or 1,
+                         output_stride=(cfg.output_stride
+                                        if cfg.output_stride is not None else 1),
                          store_fields=cfg.snapshots)
     _require_outputs(spec.n_steps, spec.output_stride, 2, "norm-conservation")
-    psi0 = gaussian_packet(grid, cfg.init_center, cfg.init_width,
-                           velocity=cfg.init_velocity, norm_sq=phys.norm_sq,
-                           hbar=phys.hbar, mass=phys.mass)
     k_ext = cfg.k_ext if cfg.k_ext is not None else 0.0
-    v_ext = harmonic_external(grid, k_ext)
+    model, kernel = HarmonicModelParams(k_ext, 0.0), None
     if cfg.kernel != "none":
         model = _resolve_model(cfg, default_k_ext=k_ext, default_k_self=0.0)
         kernel = _resolve_kernel(cfg, phys, model)
-        log, final = evolve_kernel(psi0, kernel, v_ext, spec, phys)
     elif cfg.k_self is not None and cfg.k_self > 0.0:
         model = _resolve_model(cfg, default_k_ext=k_ext)
+        _check_dt_accuracy(spec, math.sqrt((model.k_ext + model.k_self)
+                                           / phys.mass))
+    return RunPlan(cfg, phys, model, grid, spec, kernel)
+
+
+def build_custom(cfg: ScenarioConfig) -> CustomResult:
+    """Generic single-wave run driven entirely by the config."""
+    _, phys, model, grid, spec, kernel = _plan_custom(cfg)
+    psi0 = gaussian_packet(grid, cfg.init_center, cfg.init_width,
+                           velocity=cfg.init_velocity, norm_sq=phys.norm_sq,
+                           hbar=phys.hbar, mass=phys.mass)
+    v_ext = harmonic_external(grid, model.k_ext)
+    if kernel is not None:
+        log, final = evolve_kernel(psi0, kernel, v_ext, spec, phys)
+    elif model.k_self > 0.0:
         log, final = evolve_self_harmonic(psi0, model, spec, phys)
     else:
         log, final = evolve_linear(psi0, v_ext, spec, phys)
@@ -838,10 +892,7 @@ def _write_figure1(result: Figure1Result, out: Path) -> List[Path]:
 
 def _write_choquard(result: ChoquardScenarioResult, out: Path) -> List[Path]:
     tsv = out / "choquard_results.tsv"
-    # the record appends, so a rerun into the same directory starts over
-    tsv.unlink(missing_ok=True)
-    for r in result.results:
-        append_result_record(tsv, r)
+    write_result_records(tsv, result.results)
     return [tsv]
 
 
@@ -860,16 +911,16 @@ def _write_nothing(result, out: Path) -> List[Path]:
     return []
 
 
-# scenario -> (builder, writer).  Builders are named, not bound, and
-# looked up in this module when a scenario runs, so rebinding one (a test
-# double, a tracing wrapper) takes effect.
+# scenario -> (plan, builder, writer).  Builders are named, not bound,
+# and looked up in this module when a scenario runs, so rebinding one (a
+# test double, a tracing wrapper) takes effect.
 _SCENARIO_TABLE = {
-    "figure1": ("build_figure1", _write_figure1),
-    "ground-state": ("build_ground_state", _write_nothing),
-    "choquard": ("build_choquard", _write_choquard),
-    "ehrenfest": ("build_ehrenfest", _write_nothing),
-    "boost": ("build_boost", _write_nothing),
-    "custom": ("build_custom", _write_custom),
+    "figure1": (_plan_figure1, "build_figure1", _write_figure1),
+    "ground-state": (_plan_ground_state, "build_ground_state", _write_nothing),
+    "choquard": (_plan_choquard, "build_choquard", _write_choquard),
+    "ehrenfest": (_plan_ehrenfest, "build_ehrenfest", _write_nothing),
+    "boost": (_plan_boost, "build_boost", _write_nothing),
+    "custom": (_plan_custom, "build_custom", _write_custom),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -880,23 +931,21 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunReport:
     if errors:
         raise ConfigError(errors)
     start = time.perf_counter()
-    builder, writer = _SCENARIO_TABLE[cfg.scenario]
+    _, builder, writer = _SCENARIO_TABLE[cfg.scenario]
     result = globals()[builder](cfg)
-    # made only now, so a run its builder refuses leaves no directory
+    # made only now, so a run that fails in its builder leaves no directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [str(path) for path in writer(result, out)]
-    checks = result.checks()
-    metrics = result.metrics
-
     wall = time.perf_counter() - start
-    report = RunReport(cfg.scenario, checks, metrics, wall, outputs)
+    report = RunReport(cfg.scenario, result.checks(), result.metrics, wall,
+                       outputs)
     report_path = out / "report.txt"
     with open(report_path, "w") as fh:
         fh.write(f"scenario: {cfg.scenario}\n")
-        for c in checks:
+        for c in report.checks:
             fh.write(c.line() + "\n")
-        for k, v in metrics.items():
+        for k, v in report.metrics.items():
             fh.write(f"metric {k} = {v:.17g}\n")
         fh.write(f"wall_time_s = {wall:.3f}\n")
     report.outputs.append(str(report_path))
@@ -934,20 +983,22 @@ def sweep(cfg: ScenarioConfig, param: str, values: Sequence[float],
           out_dir, jobs: int = 1) -> tuple[list, bool]:
     """Run one scenario per value concurrently and aggregate a TSV.
 
-    An invalid template or member config, and values that are not
-    finite, not integral for an integer key, or that would share a run
-    directory are rejected before any member runs.  Per-value failures
-    are recorded in their row; the sweep itself never aborts.  Rows come
-    back sorted by value regardless of completion order.  Before the TSV
-    is written, the directories of earlier members of this parameter
-    that the new values do not produce are removed.
+    A template that breaks a key or owner rule, a member config that
+    breaks any rule, and values that are not finite, not integral for an
+    integer key, or that would share a run directory are rejected before
+    any member runs.  A failure while a member runs is recorded in its
+    row; the sweep itself never aborts.  Rows come back sorted by value
+    regardless of completion order.  Before the TSV is written, the
+    directories of earlier members of this parameter that the new values
+    do not produce are removed.
     """
     if param not in NUMERIC_SWEEP_KEYS:
         raise ConfigError(f"'{param}' is not a numeric config key")
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
-    errors = validate_config(cfg)
+    # the members, not the template, run: only they are held to the plan
+    errors = _config_problems(cfg)
     template_ok = not errors
     if template_ok:
         cfg = resolve_sweep_window(cfg)
@@ -1001,14 +1052,9 @@ def sweep(cfg: ScenarioConfig, param: str, values: Sequence[float],
     with open(tsv_path, "w") as fh:
         fh.write("\t".join([param, "passed"] + metric_keys + ["error"]) + "\n")
         for value, report, err in raw:
-            if report is None:
-                cells = [f"{value:.17g}", "no"] + ["nan"] * len(metric_keys)
-                cells.append(err or "")
-            else:
-                cells = [f"{value:.17g}", "yes" if report.passed else "no"]
-                cells += [f"{report.metrics.get(k, float('nan')):.17g}"
-                          for k in metric_keys]
-                cells.append("")
-            fh.write("\t".join(cells) + "\n")
+            metrics = report.metrics if report is not None else {}
+            cells = [f"{value:.17g}", "yes" if report and report.passed else "no"]
+            cells += [f"{metrics.get(k, math.nan):.17g}" for k in metric_keys]
+            fh.write("\t".join(cells + [err or ""]) + "\n")
     all_passed = all(r is not None and r.passed for _, r, _ in raw)
     return raw, all_passed

@@ -3,12 +3,11 @@ import pytest
 
 from snsim.choquard import (
     RadialGrid,
-    SpectrumFit,
-    append_result_record,
     energy_functional,
     radial_newton_potential,
     solve_ground_state,
     spectrum_value,
+    write_result_records,
 )
 from snsim.errors import ConfigError, ConvergenceError
 from snsim.potentials import PhysParams
@@ -164,20 +163,16 @@ class TestSpectrum:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-4 * values[0] + values[0] / (40 - 1 + 0.76) ** 2
 
-    def test_degenerate_exponent(self):
-        fit = SpectrumFit(a=0.096, b=0.76, c=0.0)
-        assert spectrum_value(0, fit) == spectrum_value(17, fit) == 0.096
-
     def test_negative_level_rejected(self):
         with pytest.raises(ConfigError):
             spectrum_value(-1)
 
 
 class TestResultRecord:
-    def test_append_format(self, tmp_path, ground_n1):
+    def test_record_format(self, tmp_path, ground_n1):
         path = tmp_path / "choquard_results.tsv"
-        append_result_record(path, ground_n1)
-        append_result_record(path, ground_n1)
+        path.write_text("an earlier run's records\n")
+        write_result_records(path, [ground_n1, ground_n1])
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         cells = lines[0].split("\t")

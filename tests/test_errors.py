@@ -10,7 +10,6 @@ from snsim.errors import SimulationError
 EXAMPLES = {
     "SimulationError": ("generic failure",),
     "ConfigError": (["n_points must be a power of two", "mass must be > 0"],),
-    "GridMismatchError": ("fields are defined on different grids",),
     "DegenerateInputError": ("zero-norm field has no moments",),
     "BoundaryLeakError": (0.25, 3e-9, 1e-12),
     "NonFiniteFieldError": (1.5,),

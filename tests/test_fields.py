@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from snsim.errors import ConfigError, GridMismatchError
+from snsim.errors import ConfigError
 from snsim.fields import (
     Grid1D,
     WaveField,
     gaussian_packet,
-    inner_product,
     moments,
     phase_amplitude,
     spectral_gradient,
@@ -74,30 +73,6 @@ class TestSquaredNorm:
         assert squared_norm(f.with_values(3.0 * f.values)) == pytest.approx(
             9.0, abs=1e-8
         )
-
-
-class TestInnerProduct:
-    def test_self_overlap(self):
-        f = unit_gaussian(GRID)
-        assert inner_product(f, f) == pytest.approx(1.0 + 0.0j, abs=1e-10)
-
-    def test_parity_orthogonality(self):
-        x = GRID.nodes
-        even = WaveField(GRID, np.exp(-0.5 * x**2))
-        odd = WaveField(GRID, x * np.exp(-0.5 * x**2))
-        assert abs(inner_product(even, odd)) < 1e-10
-
-    def test_displaced_gaussian_overlap(self):
-        # closed form exp(-d^2/4) for unit-normalized width-1 Gaussians
-        f = unit_gaussian(GRID, center=0.0)
-        g = unit_gaussian(GRID, center=1.0)
-        expected = np.exp(-0.25)
-        assert inner_product(f, g) == pytest.approx(expected, abs=1e-6)
-
-    def test_grid_mismatch(self):
-        other = Grid1D(4096, -16.0, 16.0)
-        with pytest.raises(GridMismatchError):
-            inner_product(unit_gaussian(GRID), unit_gaussian(other))
 
 
 class TestSpectralGradient:

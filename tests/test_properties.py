@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from snsim.errors import SimulationError
+from snsim.errors import ConfigError, SimulationError
 from snsim.fields import Grid1D, WaveField, moments, phase_amplitude
 from snsim.scenarios import (
     KERNELS,
@@ -94,6 +94,10 @@ def test_valid_config_runs_or_raises_simulation_error(cfg):
     with tempfile.TemporaryDirectory() as out:
         try:
             run_scenario(cfg, out)
+        except ConfigError as exc:
+            # validate_config states every rule but this one, which needs
+            # the solved profile
+            assert cfg.scenario == "choquard" and "enlarge r_max" in str(exc)
         except SimulationError:
             pass
 

@@ -29,6 +29,25 @@ CUSTOM_TEXT = (
     "init_center = 1.0\ninit_width = 1.0\n"
 )
 
+# each rule a scenario's plan states: a template, and a value of one key
+# that breaks the rule, with a fragment of the plan's message
+PLAN_RULES = {
+    "figure1-outputs": ({"n_points": 1024}, "output_stride", 500,
+                        "leaves 1 output times in 400 steps"),
+    "figure1-k_ext": ({"n_points": 1024}, "k_ext", 0.0,
+                      "figure1 needs k_ext > 0"),
+    "lone-x_min": ({"n_points": 1024}, "x_min", 50.0,
+                   "x_min must be below x_max"),
+    "dt-bound": ({"n_points": 1024}, "dt", 0.1, "exceeds the accuracy bound"),
+    "sphere-stiffness": ({"n_points": 1024, "sphere_radius": 1.0},
+                         "sphere_mass", 1e200, "is not a finite number"),
+    "kernel-file": ({"scenario": "custom", "n_points": 1024, "x_min": -16.0,
+                     "x_max": 16.0, "dt": 0.001, "t_end": 0.05,
+                     "init_center": 1.0, "kernel": "custom-table",
+                     "kernel_file": "no-such-dir/table.txt"},
+                    "init_width", 1.0, "cannot be read"),
+}
+
 
 class TestParseConfig:
     def test_minimal_figure1(self):
@@ -81,8 +100,8 @@ class TestParseConfig:
 
     def test_sphere_consistency_passes(self):
         # k_self = G M^2 N^2 / (2 R^3) = 1/16
-        text = (
-            "scenario = custom\nG = 1.0\nnorm_sq = 1.0\n"
+        text = CUSTOM_TEXT + (
+            "G = 1.0\nnorm_sq = 1.0\n"
             "sphere_mass = 1.0\nsphere_radius = 2.0\nk_self = 0.0625\n"
         )
         cfg = parse_config(text)
@@ -143,6 +162,19 @@ class TestParseConfig:
 
 class TestRunPlan:
     """Grid, steps and output stride resolved from the config."""
+
+    @pytest.mark.parametrize("template, param, value, fragment",
+                             PLAN_RULES.values(), ids=list(PLAN_RULES))
+    def test_validate_config_states_plan_rule(self, template, param, value,
+                                              fragment):
+        # validate_config refuses what the builder refuses, in its words
+        cfg = ScenarioConfig(**template, **{param: value})
+        builder = getattr(snsim.scenarios,
+                          "build_" + cfg.scenario.replace("-", "_"))
+        with pytest.raises(ConfigError) as err:
+            builder(cfg)
+        assert any(fragment in msg for msg in err.value.errors)
+        assert validate_config(cfg) == err.value.errors
 
     def test_boost_explicit_stride_one(self):
         # 504 steps: an explicit stride of 1 logs every one, where an
@@ -312,15 +344,23 @@ class TestSweep:
         assert energies[1] / energies[0] == pytest.approx(8.0, rel=0.01)
 
     def test_partial_failure_recorded(self, tmp_path):
-        cfg = parse_config(SMALL_FIG_TEXT)
-        # k_ext = 0 is invalid for this scenario: the member fails but
-        # the sweep completes
-        rows, ok = sweep(cfg, "k_ext", [0.0, 1.0], tmp_path, jobs=1)
+        cfg = parse_config("scenario = choquard\nradial_points = 512\n")
+        # the solved profile's tail still reaches r_max = 8, which only the
+        # run can tell: the member fails but the sweep completes
+        rows, ok = sweep(cfg, "r_max", [8.0, 50.0], tmp_path, jobs=1)
         assert not ok
-        assert rows[0][1] is None and rows[0][2]
+        assert rows[0][1] is None and "enlarge r_max" in rows[0][2]
         assert rows[1][1] is not None and rows[1][1].passed
         tsv = (tmp_path / "sweep.tsv").read_text().splitlines()
         assert len(tsv) == 3
+
+    def test_template_held_to_key_rules_only(self, tmp_path):
+        # the template's own t_end leaves 3 output times, too few for the
+        # mean-motion check; no member runs at that t_end
+        cfg = ScenarioConfig(scenario="ehrenfest", n_points=256, t_end=0.004)
+        assert "output times" in validate_config(cfg)[0]
+        rows, _ = sweep(cfg, "t_end", [0.05, 0.1], tmp_path, jobs=1)
+        assert all(report is not None for _, report, _ in rows)
 
 
 class TestCli:
@@ -503,18 +543,42 @@ class TestCli:
         assert "output times" in err and "Traceback" not in err
 
     def test_sweep_member_refused_at_build(self, tmp_path, capsys):
-        # stride 500 leaves figure1 too few output times, which only the
-        # builder can tell: an ERROR row, exit 1, and no member directory
+        # stride 500 leaves figure1 too few output times: the plan refuses
+        # the member before any member runs
         cfg_path = tmp_path / "fig.cfg"
         cfg_path.write_text(SMALL_FIG_TEXT)
-        out = tmp_path / "sw"
-        code = main(["sweep", "--param", "output_stride", "--values", "1,500",
-                     "--config", str(cfg_path), "--out", str(out)])
-        stdout = capsys.readouterr().out
-        assert code == 1
-        assert "output_stride=500: ERROR" in stdout
-        assert sorted(p.name for p in out.iterdir()) == [
-            "output_stride_1", "sweep.tsv"]
+        err = self._sweep_rejected(tmp_path, capsys, "output_stride", "1,500",
+                                   "--config", str(cfg_path))
+        assert "output_stride=500: output_stride = 500 leaves" in err
+
+    @pytest.mark.parametrize("template, param, value, fragment",
+                             PLAN_RULES.values(), ids=list(PLAN_RULES))
+    def test_sweep_refuses_plan_rule(self, tmp_path, capsys, template, param,
+                                     value, fragment):
+        cfg_path = tmp_path / "template.cfg"
+        cfg_path.write_text(render_config(ScenarioConfig(**template)))
+        err = self._sweep_rejected(tmp_path, capsys, param, f"{value!r}",
+                                   "--config", str(cfg_path))
+        assert fragment in err
+
+    def test_run_validates_its_own_scenario(self, tmp_path, capsys):
+        # the file names ehrenfest, whose plan refuses k_self; figure1 runs
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("scenario = ehrenfest\nk_self = 3\n"
+                            "n_points = 1024\n")
+        code = main(["run", "figure1", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        assert code in (0, 1)
+        assert "config error" not in capsys.readouterr().err
+
+    def test_custom_file_without_scenario_line(self, tmp_path, capsys):
+        # k_ext = 0, which figure1 (the file's default scenario) refuses
+        cfg_path = tmp_path / "custom.cfg"
+        cfg_path.write_text(CUSTOM_TEXT.replace("scenario = custom\n", "")
+                            .replace("k_ext = 1.0", "k_ext = 0.0"))
+        code = main(["run", "custom", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
 
     def test_check_exit_codes(self, monkeypatch, capsys):
         from snsim.scenarios import CheckResult
