@@ -51,11 +51,12 @@ class AcceptanceContext:
 
     @functools.cached_property
     def sweep_residuals(self):
+        # the ratio-1000 member is the default run: same plan, same metrics
         template = resolve_sweep_window(ScenarioConfig(scenario="figure1"))
-        members = (dataclasses.replace(template, stiffness_ratio=ratio)
-                   for ratio in (10.0, 100.0, 1000.0))
-        return [(m.stiffness_ratio, build_figure1(m).metrics["residual_p1_rel"])
-                for m in members]
+        residuals = [(ratio, build_figure1(dataclasses.replace(
+            template, stiffness_ratio=ratio)).metrics["residual_p1_rel"])
+            for ratio in (10.0, 100.0)]
+        return residuals + [(1000.0, self.figure1.metrics["residual_p1_rel"])]
 
     @functools.cached_property
     def choquard(self):

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ConfigError, ConvergenceError
 from .potentials import PhysParams
@@ -167,6 +166,9 @@ def solve_ground_state(
     Raises ConvergenceError when the sweep budget runs out and
     ConfigError when the converged tail still touches r_max.
     """
+    # imported here: at module level, scipy.linalg more than doubles a CLI start
+    from scipy.linalg import solveh_banded
+
     if target_norm_sq <= 0.0:
         raise ConfigError("target_norm_sq must be positive")
     if grid is None:

@@ -164,6 +164,18 @@ class _Recorder:
                                     > BOUNDARY_LEAK_THRESHOLD * rho.max())
         if not self.boundary_active:
             logger.info("initial state touches the boundary; leak check disabled")
+        # |psi| at an edge above this screens a step between outputs for a
+        # leak; set from the peak density last measured
+        self.edge_screen = math.inf
+
+    def check_boundary(self, t: float, rho: np.ndarray):
+        """Raise BoundaryLeakError if the density ``rho`` at t leaks at an edge."""
+        peak = rho.max()
+        if self.boundary_active and peak > 0:
+            edge = max(rho[0], rho[-1])
+            if edge > BOUNDARY_LEAK_THRESHOLD * peak:
+                raise BoundaryLeakError(t, edge / peak, BOUNDARY_LEAK_THRESHOLD)
+            self.edge_screen = math.sqrt(BOUNDARY_LEAK_THRESHOLD * peak)
 
     def record(self, t: float, vals: np.ndarray, v_self):
         rho = _density(vals)
@@ -172,11 +184,7 @@ class _Recorder:
         n2 = float(rho.sum() * dx)
         if not math.isfinite(n2):
             raise NonFiniteFieldError(t)
-        peak = rho.max()
-        if self.boundary_active and peak > 0:
-            edge = max(rho[0], rho[-1])
-            if edge > BOUNDARY_LEAK_THRESHOLD * peak:
-                raise BoundaryLeakError(t, edge / peak, BOUNDARY_LEAK_THRESHOLD)
+        self.check_boundary(t, rho)
         if n2 > 0:
             mean = float((rho * x).sum() * dx / n2)
             mean2 = float((rho * x * x).sum() * dx / n2)
@@ -249,6 +257,10 @@ def _evolve(
         ft = np.fft.fft(vals)
         ft *= kin_phase
         vals = np.fft.ifft(ft)
+        # two edge values screen every step; a trip is confirmed in full
+        edge = rec.edge_screen
+        if abs(vals[0]) > edge or abs(vals[-1]) > edge:
+            rec.check_boundary(step * dt, _density(vals))
         # |psi| is the same on both sides of the potential step, so this
         # value closes this step and opens the next
         v_self = evaluate(vals, step)

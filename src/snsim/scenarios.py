@@ -395,6 +395,18 @@ def _grid_velocity(grid: Grid1D, phys: PhysParams, v: float) -> float:
     return round(v * phys.mass / (phys.hbar * dk)) * dk * phys.hbar / phys.mass
 
 
+def _boost_velocity(cfg: ScenarioConfig, grid: Grid1D, phys: PhysParams) -> float:
+    """The boost's grid velocity: ``init_velocity``, or 5 when it is 0."""
+    velocity = _grid_velocity(
+        grid, phys, cfg.init_velocity if cfg.init_velocity != 0.0 else 5.0)
+    if velocity == 0.0:
+        step = 2.0 * math.pi * phys.hbar / (phys.mass * grid.length)
+        raise ConfigError(f"the boost velocity rounds to 0 on this grid's "
+                          f"velocity step {step:.4g}; set |init_velocity| > "
+                          f"{step / 2:.4g}")
+    return velocity
+
+
 def _second_derivative_5pt(series: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order interior second derivative; loses two points per end."""
     s = np.asarray(series, dtype=float)
@@ -567,7 +579,9 @@ def _plan_boost(cfg: ScenarioConfig) -> RunPlan:
     spec = _steps(cfg, period, period / 2000.0, 50, 2, "the boost velocity",
                   True)
     _check_dt_accuracy(spec, omega)
-    return RunPlan(cfg, phys, model, _grid(cfg, 16.0), spec)
+    grid = _grid(cfg, 16.0)
+    _boost_velocity(cfg, grid, phys)  # refuses one that snaps to 0
+    return RunPlan(cfg, phys, model, grid, spec)
 
 
 def build_boost(cfg: ScenarioConfig) -> BoostResult:
@@ -576,8 +590,7 @@ def build_boost(cfg: ScenarioConfig) -> BoostResult:
     a = _stationary_width(model, phys)
     center = cfg.init_center if cfg.init_center is not None else -0.5
 
-    velocity = _grid_velocity(
-        grid, phys, cfg.init_velocity if cfg.init_velocity != 0.0 else 5.0)
+    velocity = _boost_velocity(cfg, grid, phys)
     psi0 = gaussian_packet(grid, center, a, velocity=velocity,
                            norm_sq=phys.norm_sq, hbar=phys.hbar, mass=phys.mass)
     log, final = evolve_self_harmonic(psi0, model, spec, phys)

@@ -82,6 +82,22 @@ def test_criterion_8_sweep_monotonic(ctx):
     _assert_all(_criterion_8(ctx))
 
 
+def test_sweep_top_member_is_default_run():
+    # criterion 8 takes its ratio-1000 residual from the default figure1
+    # run, so the two plans must agree in everything but the key itself
+    import dataclasses
+
+    from snsim.scenarios import ScenarioConfig, _plan_figure1, resolve_sweep_window
+
+    default = ScenarioConfig(scenario="figure1")
+    member = dataclasses.replace(resolve_sweep_window(default),
+                                 stiffness_ratio=1000.0)
+    a, b = _plan_figure1(default), _plan_figure1(member)
+    assert b.cfg.stiffness_ratio == 1000.0
+    assert dataclasses.replace(b.cfg, stiffness_ratio=None) == a.cfg
+    assert b._replace(cfg=a.cfg) == a
+
+
 def test_criterion_9_property_suite(ctx):
     # norm conservation 1e-10, linear time reversal 1e-8, interaction
     # scaling law 1e-10, gauge invariance 1e-12, second-order dt ratio

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import snsim
 from snsim.choquard import (
     RadialGrid,
     energy_functional,
@@ -120,6 +126,26 @@ class TestGroundState:
     def test_small_domain_rejected(self):
         with pytest.raises(ConfigError):
             solve_ground_state(PhysParams(), 1.0, grid=RadialGrid(512, 6.0))
+
+
+def test_scipy_loaded_only_by_the_solver():
+    # scipy.linalg more than doubles the start-up time of a CLI process, yet
+    # only solve_ground_state uses it
+    code = (
+        "import sys\n"
+        "import snsim.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "from snsim.choquard import solve_ground_state\n"
+        "from snsim.potentials import PhysParams\n"
+        "result = solve_ground_state(PhysParams(), 1.0)\n"
+        "assert 'scipy' in sys.modules and result.eigenvalue < 0.0\n"
+    )
+    src = str(Path(snsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEnergyFunctional:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -46,6 +47,10 @@ PLAN_RULES = {
                      "init_center": 1.0, "kernel": "custom-table",
                      "kernel_file": "no-such-dir/table.txt"},
                     "init_width", 1.0, "cannot be read"),
+    # a velocity below half the grid's step used to run a packet at rest
+    "boost-velocity-snap": ({"scenario": "boost", "n_points": 256, "x_min": -4.0,
+                             "x_max": 4.0}, "init_velocity", 0.3,
+                            "the boost velocity rounds to 0"),
 }
 
 
@@ -595,6 +600,19 @@ class TestCli:
         assert main(["check"]) == 0
         monkeypatch.setattr(acc, "run_acceptance", fake_fail)
         assert main(["check"]) == 1
+
+    def test_boundary_leak_between_outputs(self, tmp_path, capsys):
+        # two outputs, at t = 0 and 1.7: the packet wraps round the domain
+        # between them, which the output-time check alone missed
+        cfg_path = tmp_path / "boost.cfg"
+        cfg_path.write_text("scenario = boost\nn_points = 256\nx_min = -4\n"
+                            "x_max = 4\nt_end = 1.7\noutput_stride = 17112\n")
+        code = main(["run", "boost", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1 and "FAIL" not in captured.out
+        assert re.search(r"error: boundary density fraction \S+ exceeds 1.0e-12 "
+                         r"at t=0\.\d+; enlarge the domain", captured.err)
 
     def test_run_boost(self, tmp_path):
         code = main(["run", "boost", "--out", str(tmp_path / "boost")])
