@@ -168,7 +168,7 @@ def _gauge_invariance(ctx) -> CheckResult:
     phys = fig.phys
     theta = 0.7318
     phase = np.exp(1j * theta)
-    rotate = lambda flds: [f.with_values(f.values * phase) for f in flds]
+    rotate = lambda flds: (f.with_values(f.values * phase) for f in flds)
     rows_ref = fig.rows
     rows_rot = decompose_run(fig.times, rotate(fig.pilot_log.fields),
                              rotate(fig.full_log.fields), phys)

@@ -15,16 +15,17 @@ amplitude at the barycentre satisfy the reciprocity
     d<phi|phi>/dt ~ (hbar/m) lap(arg psi_l)(x0) <phi|phi>
                     - 2 (grad A_L / A_L)(x0) * <phi|(hbar/i m) d/dx|phi>.
 
-All analysis runs on output-time snapshots, so it is independent of the
-integrator's internal stepping, and is pure (parallelizable across time
-samples and runs).
+All analysis runs on output-time snapshots, one frame at a time, so it is
+independent of the integrator's internal stepping; v_drift and the norm
+rate, the only time derivatives, are differenced from scalar series.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Sequence
+from itertools import zip_longest
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -191,33 +192,35 @@ def _norm_rate_rhs(pa: PhaseAmplitude, grid, state: SolitonState,
 
 
 def decompose_run(
-    times: Sequence[float],
-    pilot_fields: Sequence[WaveField],
-    full_fields: Sequence[WaveField],
+    times: Iterable[float],
+    pilot_fields: Iterable[WaveField],
+    full_fields: Iterable[WaveField],
     phys: PhysParams = PhysParams(),
 ) -> List[VelocityDecomposition]:
     """Full guidance analysis over one run's snapshot series.
 
-    Returns one VelocityDecomposition row per output time.
+    One pass over any iterables of frames keeps one frame's arrays alive
+    at a time; v_drift and the norm rate are differenced afterwards from
+    the per-frame scalars.  Returns one row per output time.
     """
-    if not (len(times) == len(pilot_fields) == len(full_fields)):
-        raise ExtractionError("times and snapshot series differ in length")
-    times = np.asarray(times, dtype=float)
-    states = [extract_soliton(fn, fl) for fn, fl in zip(full_fields, pilot_fields)]
-    pas = [phase_amplitude(fl) for fl in pilot_fields]
-    grid = pilot_fields[0].grid
-
-    x0s = np.array([s.x0 for s in states])
-    norms = np.array([s.norm_sq for s in states])
-    vints = np.array([v_int(s, phys) for s in states])
-    vdbbs = np.array([
-        phys.hbar / phys.mass * _interp_valid(grid, pa.phase_gradient, pa.valid, s.x0)
-        for pa, s in zip(pas, states)
-    ])
-    a_l_at_x0 = np.array([
-        _interp_valid(grid, pa.amplitude, pa.valid, s.x0)
-        for pa, s in zip(pas, states)
-    ])
+    missing = object()
+    samples = []
+    for t, psi_l, psi_nl in zip_longest(times, pilot_fields, full_fields,
+                                        fillvalue=missing):
+        if any(v is missing for v in (t, psi_l, psi_nl)):
+            raise ExtractionError("times and snapshot series differ in length")
+        state = extract_soliton(psi_nl, psi_l)
+        pa = phase_amplitude(psi_l)
+        grid = psi_l.grid
+        vint = v_int(state, phys)
+        grad = _interp_valid(grid, pa.phase_gradient, pa.valid, state.x0)
+        samples.append((t, state.x0, state.norm_sq, vint,
+                        phys.hbar / phys.mass * grad,
+                        _interp_valid(grid, pa.amplitude, pa.valid, state.x0),
+                        _norm_rate_rhs(pa, grid, state, vint, phys),
+                        state.width, state.valid_fraction))
+    (times, x0s, norms, vints, vdbbs, a_l_at_x0, rhs, widths,
+     fractions) = np.array(samples, dtype=float).reshape(len(samples), 9).T
     a_l_sq = a_l_at_x0**2
 
     vdrift = v_drift_series(times, x0s)
@@ -227,10 +230,6 @@ def decompose_run(
     p2 = p2_raw / p2_raw[0]
 
     norm_rates = v_drift_series(times, norms)
-    rhs = np.array([
-        _norm_rate_rhs(pa, grid, s, vi, phys)
-        for pa, s, vi in zip(pas, states, vints)
-    ])
     denom = np.maximum(np.maximum(np.abs(norm_rates), np.abs(rhs)), RESIDUAL_FLOOR)
     nr_resid = (norm_rates - rhs) / denom
 
@@ -246,8 +245,8 @@ def decompose_run(
             a_l_sq_at_x0=float(a_l_sq[i]),
             p2_product=float(p2[i]),
             norm_rate_residual=float(nr_resid[i]),
-            width=float(states[i].width),
-            valid_fraction=float(states[i].valid_fraction),
+            width=float(widths[i]),
+            valid_fraction=float(fractions[i]),
         )
         for i in range(len(times))
     ]

@@ -1,8 +1,11 @@
 import dataclasses
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from snsim.acceptance import _gauge_invariance
 from snsim.errors import ExtractionError
 from snsim.fields import Grid1D, WaveField, gaussian_packet
 from snsim.guidance import (
@@ -262,6 +265,75 @@ class TestReports:
                 + v_int(state, fig.phys)
             )
             assert again == pytest.approx(row.residual_p1, abs=1e-12)
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """decompose_run walks the frames once, holding one frame at a time."""
+
+    def test_generators_match_lists(self, small_figure1):
+        fig = small_figure1
+        rows = decompose_run(iter(fig.times), iter(fig.pilot_log.fields),
+                             (f for f in fig.full_log.fields), fig.phys)
+        assert len(rows) == len(fig.rows)
+        for a, b in zip(rows, fig.rows):
+            for field in dataclasses.fields(a):
+                assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+    @pytest.mark.parametrize("n_times,n_pilot,n_full", [
+        (4, 3, 3),  # frames shorter than times
+        (3, 4, 4),  # frames longer than times
+        (4, 4, 3),  # pilot and full series differ
+        (4, 3, 4),
+    ])
+    def test_length_mismatch_rejected(self, n_times, n_pilot, n_full):
+        psi_l = pilot()
+        psi_nl = WaveField(GRID, psi_l.values * gaussian_packet(GRID, 0.4, 0.3).values)
+        times = 0.1 * np.arange(n_times)
+        with pytest.raises(ExtractionError,
+                           match="^times and snapshot series differ in length$"):
+            decompose_run(times, (psi_l for _ in range(n_pilot)),
+                          [psi_nl] * n_full, PHYS)
+
+    def test_rows_equal_public_per_frame_values(self, small_figure1):
+        # exact equality, not approx: a change of summation order in the
+        # streamed pass would eat into the gauge check's roundoff margin
+        fig = small_figure1
+        frames = zip(fig.rows, fig.pilot_log.fields, fig.full_log.fields)
+        for row, psi_l, psi_nl in frames:
+            state = extract_soliton(psi_nl, psi_l)
+            assert row.x0 == state.x0
+            assert row.norm_sq_phi == state.norm_sq
+            assert row.v_int == v_int(state, fig.phys)
+            assert row.v_dbb == v_dbb(psi_l, state.x0, fig.phys)
+            assert row.width == state.width
+            assert row.valid_fraction == state.valid_fraction
+
+    def test_peak_memory_flat_in_frame_count(self, small_figure1):
+        fig = small_figure1
+        pilots, fulls = fig.pilot_log.fields, fig.full_log.fields
+        assert len(fig.times) == 401
+        short = traced_peak(lambda: decompose_run(
+            fig.times[:100], pilots[:100], fulls[:100], fig.phys))
+        full = traced_peak(lambda: decompose_run(fig.times, pilots, fulls, fig.phys))
+        assert full < 2e6
+        assert full < 1.5 * short
+
+    def test_gauge_check_builds_no_rotated_frame_list(self, small_figure1):
+        fig = small_figure1
+        frame_list_bytes = sum(f.values.nbytes for f in fig.full_log.fields)
+        ctx = SimpleNamespace(figure1=fig)
+        peak = traced_peak(lambda: _gauge_invariance(ctx))
+        assert peak < frame_list_bytes
 
 
 class TestCsv:
