@@ -6,12 +6,28 @@ Criteria 1-7 and 9a are the scenarios' own checks under acceptance
 labels, so their tolerances are stated once, with the scenarios.  Heavy
 runs are shared through :class:`AcceptanceContext`, so the whole battery
 stays well inside the runtime budget.
+
+:func:`run_acceptance` splits the runs over two processes.  The runs that
+do not use the default figure1 run (9e's three self-trap runs, the
+Choquard pair, 9b's time reversal and criterion 8's ratio-10 and
+ratio-100 members) go to one worker process, forked before anything is
+built, while the calling process builds figure1, boost and 9d's rotated
+analysis.  Every run has one implementation, and the lines, their order
+and their values are those of a battery run in one process.  The
+worker's time and memory are its own: they are in neither the calling
+process's ``ru_maxrss`` nor a tracer that wraps its functions.  The
+worker is sent only the names of module-level private functions, so
+nothing a tracer or a test double rebinds is pickled, and the default
+figure1 run is always built in the calling process.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import threading
+import traceback
+from concurrent.futures import Future
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -42,29 +58,70 @@ GAUGE_TOL = 1e-12
 DT_ORDER_RANGE = (3.5, 4.5)
 
 
+# the runs that do not use the default figure1 run, longest first: the
+# ones run_acceptance hands to its worker process.  Run ``name`` is made
+# by the module function ``_<name>``, looked up when it runs, so a
+# rebinding (a test double) takes effect in the worker too.
+_WORKER_RUNS = ("dt_order", "choquard", "time_reversal", "sweep_members")
+
+
+def _make(name: str):
+    return globals()[f"_{name}"]()
+
+
 class AcceptanceContext:
-    """The criteria's shared runs, each made on first use."""
+    """The criteria's shared runs, each made on first use.
+
+    A run that :func:`run_acceptance` has handed to its worker process is
+    taken from the worker; every other run is made in this process.
+    """
+
+    def __init__(self):
+        self._pending = {}  # run name -> the worker's future
+
+    def _worker_run(self, name: str):
+        future = self._pending.pop(name, None)
+        return _make(name) if future is None else future.result()
 
     @functools.cached_property
     def figure1(self):
         return build_figure1(ScenarioConfig(scenario="figure1"))
 
     @functools.cached_property
-    def sweep_residuals(self):
-        # the ratio-1000 member is the default run: same plan, same metrics
-        template = resolve_sweep_window(ScenarioConfig(scenario="figure1"))
-        residuals = [(ratio, build_figure1(dataclasses.replace(
-            template, stiffness_ratio=ratio)).metrics["residual_p1_rel"])
-            for ratio in (10.0, 100.0)]
-        return residuals + [(1000.0, self.figure1.metrics["residual_p1_rel"])]
+    def sweep_members(self):
+        return self._worker_run("sweep_members")
 
     @functools.cached_property
     def choquard(self):
-        return build_choquard(ScenarioConfig(scenario="choquard"))
+        return self._worker_run("choquard")
 
     @functools.cached_property
     def boost(self):
         return build_boost(ScenarioConfig(scenario="boost"))
+
+    @functools.cached_property
+    def time_reversal(self):
+        return self._worker_run("time_reversal")
+
+    @functools.cached_property
+    def gauge_invariance(self):
+        return _gauge_invariance(self)
+
+    @functools.cached_property
+    def dt_order(self):
+        return self._worker_run("dt_order")
+
+
+def _sweep_members():
+    """Criterion 8's ratio-10 and ratio-100 guidance residuals."""
+    template = resolve_sweep_window(ScenarioConfig(scenario="figure1"))
+    return [(ratio, build_figure1(dataclasses.replace(
+        template, stiffness_ratio=ratio)).metrics["residual_p1_rel"])
+        for ratio in (10.0, 100.0)]
+
+
+def _choquard():
+    return build_choquard(ScenarioConfig(scenario="choquard"))
 
 
 def _worst(label: str, checks, *names: str, note: Optional[str] = None):
@@ -115,7 +172,9 @@ def _criterion_7(ctx) -> List[CheckResult]:
 
 
 def _criterion_8(ctx) -> List[CheckResult]:
-    residuals = ctx.sweep_residuals
+    # the ratio-1000 member is the default run: same plan, same metrics
+    residuals = ctx.sweep_members + [
+        (1000.0, ctx.figure1.metrics["residual_p1_rel"])]
     vals = [r for _, r in residuals]
     monotone = all(b <= a for a, b in zip(vals, vals[1:]))
     worst_rise = max(
@@ -207,10 +266,10 @@ def _criterion_9(ctx) -> List[CheckResult]:
     return [
         _worst("9a-norm-conservation", ctx.figure1.checks() + ctx.boost.checks(),
                "norm-conservation"),
-        _time_reversal(),
+        ctx.time_reversal,
         _scaling_law(),
-        _gauge_invariance(ctx),
-        _dt_order(),
+        ctx.gauge_invariance,
+        ctx.dt_order,
     ]
 
 
@@ -227,14 +286,93 @@ CRITERIA: List[Callable] = [
 ]
 
 
+class _Worker:
+    """One forked process that makes the named runs in turn, then exits.
+
+    A thread of this process receives each run as it comes, so the
+    worker never waits to be read; ``futures`` hold the runs.
+    """
+
+    def __init__(self, names):
+        import multiprocessing
+
+        fork = multiprocessing.get_context("fork")
+        reader, sender = fork.Pipe(duplex=False)
+        self.futures = {name: Future() for name in names}
+        self._process = fork.Process(target=_serve, args=(names, reader, sender),
+                                     daemon=True)
+        self._process.start()
+        sender.close()
+        self._receiver = threading.Thread(target=self._receive, args=(reader,))
+        self._receiver.start()
+
+    def _receive(self, reader):
+        try:
+            with reader:
+                for _ in self.futures:
+                    name, value, error = reader.recv()
+                    if error is None:
+                        self.futures[name].set_result(value)
+                    else:
+                        self.futures[name].set_exception(error)
+        except Exception as exc:  # EOFError: the worker ended early
+            for name, future in self.futures.items():
+                if not future.done():
+                    future.set_exception(RuntimeError(
+                        f"the acceptance worker ended before sending {name}: "
+                        f"{exc!r}"))
+
+    def close(self):
+        """End the worker, dropping the runs it has not sent, and wait."""
+        self._process.terminate()
+        self._process.join()
+        self._receiver.join()
+
+
+def _serve(names, reader, sender):
+    """The worker process: make each run in turn and send it back."""
+    reader.close()  # so that a send fails, not blocks, once the caller is gone
+    for name in names:
+        try:
+            message = (name, _make(name), None)
+        except Exception as exc:  # raised again where the run is taken
+            exc.add_note(f"in the acceptance worker:\n{traceback.format_exc()}")
+            message = (name, None, exc)
+        try:
+            sender.send(message)
+        except BrokenPipeError:  # the caller has ended
+            return
+
+
 def run_acceptance(ctx: Optional[AcceptanceContext] = None,
                    stream=print) -> List[CheckResult]:
-    """Run every criterion, print one line each, return all results."""
+    """Run every criterion, print one line each, return all results.
+
+    The context's runs named in ``_WORKER_RUNS`` and not yet made go to
+    one forked worker process, unless this process runs other threads.
+    The worker has ended before this returns or raises; if a run fails,
+    the worker's runs not yet sent are dropped.
+    """
     ctx = ctx or AcceptanceContext()
+    # fork hands the worker this process's loaded modules; a process that
+    # runs other threads is unsafe to fork, so it makes every run itself
+    todo = [] if threading.active_count() > 1 else [
+        name for name in _WORKER_RUNS if name not in vars(ctx)]
+    worker = _Worker(todo) if todo else None
     results: List[CheckResult] = []
-    for criterion in CRITERIA:
-        for check in criterion(ctx):
-            results.append(check)
-            if stream is not None:
-                stream(check.line())
+    try:
+        ctx._pending = dict(worker.futures) if worker else {}
+        # this process's own runs first: it then waits for the worker
+        # only when it has nothing left to build
+        for name in ("figure1", "boost", "gauge_invariance"):
+            getattr(ctx, name)
+        for criterion in CRITERIA:
+            for check in criterion(ctx):
+                results.append(check)
+                if stream is not None:
+                    stream(check.line())
+    finally:
+        ctx._pending = {}
+        if worker is not None:
+            worker.close()
     return results

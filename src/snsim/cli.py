@@ -19,6 +19,7 @@ from .scenarios import (
     SCENARIOS,
     ScenarioConfig,
     _config_problems,
+    _out_dir_problems,
     _parse_lines,
     run_scenario,
     sweep,
@@ -109,6 +110,9 @@ def main(argv=None) -> int:
         if args.command == "check":
             from .acceptance import run_acceptance
 
+            problems = _out_dir_problems(args.out) if args.out else []
+            if problems:
+                raise ConfigError(problems)
             results = run_acceptance()
             if args.out:
                 out = Path(args.out)

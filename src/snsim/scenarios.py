@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import os
 import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -938,9 +939,23 @@ _SCENARIO_TABLE = {
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
+def _out_dir_problems(out_dir) -> List[str]:
+    """Why ``out_dir`` cannot become a directory, empty when it can.
+
+    The path must be a directory or not exist, and the nearest path on
+    the way up that exists must be a directory, so that a run refuses it
+    before building anything.
+    """
+    path = Path(out_dir)
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if existing.is_dir():
+        return []
+    return [f"output directory {out_dir}: {existing} is not a directory"]
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir) -> RunReport:
     """Execute one scenario, write its artifacts, and report pass/fail."""
-    errors = validate_config(cfg)
+    errors = validate_config(cfg) + _out_dir_problems(out_dir)
     if errors:
         raise ConfigError(errors)
     start = time.perf_counter()
@@ -1031,6 +1046,9 @@ def sweep(cfg: ScenarioConfig, param: str, values: Sequence[float],
             errors.append(f"sweep values {run_dirs[name]!r} and {value!r} "
                           f"share the run directory {name}/")
         run_dirs.setdefault(name, value)
+    errors += _out_dir_problems(out_dir) or [
+        msg for name in run_dirs
+        for msg in _out_dir_problems(Path(out_dir) / name)]
     if errors:
         raise ConfigError(errors)
     out = Path(out_dir)

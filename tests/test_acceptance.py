@@ -5,10 +5,20 @@ reads as the acceptance report.  Heavy runs are shared across criteria
 through the session-scoped context.
 """
 
+import dataclasses
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import snsim.acceptance as acc
 from snsim.acceptance import (
     AcceptanceContext,
     _criterion_1,
@@ -22,6 +32,8 @@ from snsim.acceptance import (
     _criterion_9,
     run_acceptance,
 )
+from snsim.cli import main
+from snsim.errors import SimulationError
 
 
 @pytest.fixture(scope="session")
@@ -134,6 +146,129 @@ def test_check_lines_pinned(ctx):
     fig, boost = ctx.figure1.metrics, ctx.boost.metrics
     assert results[7].value == max(fig["oracle_mean_dev"], fig["oracle_var_dev"])
     assert results[10].value == max(fig["norm_drift"], boost["norm_drift"])
+
+
+def _fields(results):
+    return [dataclasses.astuple(c) for c in results]
+
+
+def _rebind(monkeypatch, name, before):
+    """Rebind the worker run ``_<name>`` to call ``before()`` first; the
+    worker is forked after this, so it runs the rebound function too."""
+    run = getattr(acc, f"_{name}")
+
+    def rebound():
+        before()
+        return run()
+
+    monkeypatch.setattr(acc, f"_{name}", rebound)
+
+
+def test_worker_gives_the_in_process_results(ctx, monkeypatch):
+    # every check, 5a, 5b, 8, 9b and 9e among them, equal field by field
+    in_process = [c for criterion in acc.CRITERIA for c in criterion(ctx)]
+    parent = os.getpid()
+
+    def in_worker():
+        if os.getpid() == parent:
+            raise RuntimeError("a worker run was made in the calling process")
+
+    for name in acc._WORKER_RUNS:
+        _rebind(monkeypatch, name, in_worker)
+    split = run_acceptance(AcceptanceContext(), stream=None)
+    assert _fields(split) == _fields(in_process)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_ends_check_with_exit_one(monkeypatch, capsys):
+    def broken():
+        raise SimulationError("choquard broke")
+
+    _rebind(monkeypatch, "choquard", broken)
+    assert main(["check"]) == 1
+    err = capsys.readouterr().err
+    assert "error: choquard broke" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_failure_cancels_the_worker_runs_not_started(tmp_path, monkeypatch):
+    # this process's first build fails while the worker makes its first
+    # run: the worker is stopped, so its last run never starts
+    def broken(cfg):
+        raise SimulationError("figure1 broke")
+
+    started = tmp_path / "started"
+    monkeypatch.setattr(acc, "build_figure1", broken)
+    _rebind(monkeypatch, acc._WORKER_RUNS[-1], started.touch)
+    with pytest.raises(SimulationError, match="figure1 broke"):
+        run_acceptance(AcceptanceContext(), stream=None)
+    assert not started.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_ends_soon_after_a_killed_caller(tmp_path):
+    # a caller killed mid-battery (a timeout, say) leaves no worker behind:
+    # the worker's next send fails and it exits
+    code = (
+        "import os, sys, time\n"
+        "import snsim.acceptance as acc\n"
+        "def dt_order():\n"
+        "    print(os.getpid(), flush=True)\n"
+        "    time.sleep(1.0)\n"
+        "    return None\n"
+        "acc._dt_order = dt_order\n"
+        "acc.build_figure1 = lambda cfg: time.sleep(600)\n"
+        "acc.run_acceptance()\n"
+    )
+    src = str(Path(acc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    caller = subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        worker = int(caller.stdout.readline())
+    finally:
+        caller.kill()
+        caller.wait(timeout=60)
+        caller.stdout.close()
+    stat = Path(f"/proc/{worker}/stat")
+
+    def running():
+        # an orphan that has exited may stay a zombie until it is reaped
+        try:
+            return stat.read_text().rpartition(")")[2].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 30.0
+    while running() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    if running():
+        os.kill(worker, signal.SIGKILL)
+        pytest.fail("the worker outlived its caller by 30 s")
+
+
+def test_threaded_caller_makes_every_run_itself(ctx, monkeypatch):
+    # forking a process that runs other threads is unsafe; all runs but
+    # 9b's are taken from the session's context to keep this short
+    made = AcceptanceContext()
+    for name in ("figure1", "boost", "gauge_invariance", "sweep_members",
+                 "choquard", "dt_order"):
+        setattr(made, name, getattr(ctx, name))
+    pids = []
+    _rebind(monkeypatch, "time_reversal", lambda: pids.append(os.getpid()))
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        results = run_acceptance(made, stream=None)
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert pids == [os.getpid()]
+    assert _fields(results) == _fields(
+        [c for criterion in acc.CRITERIA for c in criterion(ctx)])
 
 
 def test_runtime_budget(ctx):

@@ -130,11 +130,12 @@ class TestGroundState:
 
 def test_scipy_loaded_only_by_the_solver():
     # scipy.linalg more than doubles the start-up time of a CLI process, yet
-    # only solve_ground_state uses it
+    # only solve_ground_state uses it; multiprocessing only `check` uses
     code = (
         "import sys\n"
         "import snsim.cli\n"
         "assert 'scipy' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
         "from snsim.choquard import solve_ground_state\n"
         "from snsim.potentials import PhysParams\n"
         "result = solve_ground_state(PhysParams(), 1.0)\n"

@@ -601,6 +601,44 @@ class TestCli:
         monkeypatch.setattr(acc, "run_acceptance", fake_fail)
         assert main(["check"]) == 1
 
+    @pytest.mark.parametrize("below", ["", "x"], ids=["file", "under-file"])
+    @pytest.mark.parametrize("command", [
+        ["run", "ground-state"],
+        ["sweep", "--param", "k_self", "--values", "5,10", "--scenario",
+         "ground-state"],
+        ["check"],
+    ], ids=["run", "sweep", "check"])
+    def test_out_under_a_file_refused_first(self, tmp_path, capsys,
+                                            monkeypatch, command, below):
+        # refused before any scenario is built or the battery starts
+        import snsim.acceptance as acc
+
+        def started(*args, **kwargs):
+            raise AssertionError("ran with an unusable --out")
+
+        monkeypatch.setattr(snsim.scenarios, "build_ground_state", started)
+        monkeypatch.setattr(acc, "run_acceptance", started)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / below if below else blocker
+        code = main(command + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert (f"config error: output directory {out}: {blocker} is not a "
+                f"directory") in err
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_sweep_member_directory_taken_by_a_file(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        out.mkdir()
+        (out / "k_self_10").write_text("not a directory\n")
+        code = main(["sweep", "--scenario", "ground-state", "--param", "k_self",
+                     "--values", "5,10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"{out / 'k_self_10'} is not a directory" in err
+        assert sorted(p.name for p in out.iterdir()) == ["k_self_10"]
+
     def test_boundary_leak_between_outputs(self, tmp_path, capsys):
         # two outputs, at t = 0 and 1.7: the packet wraps round the domain
         # between them, which the output-time check alone missed
