@@ -61,7 +61,6 @@ from .potentials import (
     PhysParams,
     convolution_self_potential,
     harmonic_external,
-    load_kernel_table,
     scaling_check,
     self_harmonic,
     self_stiffness,

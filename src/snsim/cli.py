@@ -31,9 +31,11 @@ def _load_config(path, scenario=None) -> ScenarioConfig:
     values, errors = {}, []
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"cannot read config {path}: not UTF-8 text") from None
         values, errors = _parse_lines(text)
     if scenario is not None:
         values["scenario"] = scenario

@@ -39,6 +39,9 @@ class Grid1D:
             errors.append("n_points must be a power of two")
         if not (self.x_max > self.x_min):
             errors.append("x_min must be below x_max")
+        elif not np.isfinite(float(self.x_max) - float(self.x_min)):
+            errors.append(f"the grid [{self.x_min:g}, {self.x_max:g}) has no "
+                          f"finite length")
         if errors:
             raise ConfigError(errors)
 
@@ -222,6 +225,18 @@ def gaussian_packet(
     u = grid.nodes - center
     phase = (mass * velocity / hbar) * u + chirp * u * u
     vals = np.exp(-(u * u) / (2.0 * width_param**2) + 1j * phase)
-    raw = WaveField(grid, vals)
-    scale = np.sqrt(norm_sq / squared_norm(raw))
-    return raw.with_values(raw.values * scale)
+    return normalized(WaveField(grid, vals), norm_sq,
+                      f"a Gaussian packet at centre {center:g} with width "
+                      f"{width_param:g}")
+
+
+def normalized(f: WaveField, norm_sq: float, what: str) -> WaveField:
+    """``f`` scaled to the squared norm ``norm_sq``; a density too small to
+    scale raises DegenerateInputError, whose message names ``what``."""
+    n2 = squared_norm(f)
+    if not (n2 > 0.0 and np.isfinite(norm_sq / n2)):
+        g = f.grid
+        raise DegenerateInputError(
+            f"{what} has no density on the {g.n_points}-node grid "
+            f"[{g.x_min:g}, {g.x_max:g})")
+    return f.with_values(f.values * np.sqrt(norm_sq / n2))

@@ -135,37 +135,6 @@ def sphere_quadratic_kernel(phys: PhysParams, model: HarmonicModelParams) -> Con
     return ConvolutionKernel(fn, -phys.G * m2, name="sphere-quadratic")
 
 
-def load_kernel_table(path, phys: PhysParams) -> ConvolutionKernel:
-    """Tabulated kernel from a two-column text file (u, F(u))."""
-    try:
-        data = np.loadtxt(path, ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"kernel table {path} cannot be read: "
-                          f"{exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"kernel table {path} is not a numeric table: "
-                          f"{exc}") from None
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ConfigError(f"kernel table {path} must have two columns")
-    u, f = data[:, 0], data[:, 1]
-    if not np.all(np.diff(u) > 0):
-        raise ConfigError(f"kernel table {path} must have strictly increasing u")
-    if not np.all(np.isfinite(f)):
-        raise ConfigError(f"kernel table {path} contains non-finite values")
-    u_max = u[-1]
-
-    def fn(dist):
-        d = np.abs(dist)
-        if d.max(initial=0.0) > u_max:
-            raise ConfigError(
-                f"kernel table covers u <= {u_max:g} but the grid needs "
-                f"distances up to {d.max():g}"
-            )
-        return np.interp(d, u, f)
-
-    return ConvolutionKernel(fn, -phys.G * phys.mass**2, name="custom-table")
-
-
 def harmonic_external(grid: Grid1D, k_ext: float) -> np.ndarray:
     """Trap potential k_ext x^2 / 2 sampled on the grid."""
     if k_ext < 0.0:

@@ -36,7 +36,7 @@ from .choquard import (
     write_result_records,
 )
 from .errors import ConfigError, SimulationError
-from .fields import Grid1D, WaveField, gaussian_packet, moments, squared_norm
+from .fields import Grid1D, WaveField, gaussian_packet, moments, normalized
 from .guidance import (
     decompose_run,
     guidance_law_report,
@@ -58,7 +58,6 @@ from .potentials import (
     HarmonicModelParams,
     PhysParams,
     harmonic_external,
-    load_kernel_table,
     self_harmonic,
     self_stiffness,
     sphere_quadratic_kernel,
@@ -66,7 +65,6 @@ from .potentials import (
 )
 from .propagate import (
     EvolutionSpec,
-    TrajectoryLog,
     _check_dt_accuracy,
     _kinetic_energy,
     evolve_kernel,
@@ -76,11 +74,8 @@ from .propagate import (
     remove_snapshots,
     write_snapshots,
 )
-from .textio import float_row, write_table
 
 logger = logging.getLogger(__name__)
-
-KERNELS = ("none", "sphere-quadratic", "custom-table")
 
 # acceptance tolerances for the oscillating-soliton run
 P1_TOL = 0.02
@@ -117,8 +112,6 @@ class ScenarioConfig:
     stiffness_ratio: Optional[float] = None
     sphere_mass: Optional[float] = None
     sphere_radius: Optional[float] = None
-    kernel: str = "none"
-    kernel_file: Optional[str] = None
     dt: Optional[float] = None
     t_end: Optional[float] = None
     output_stride: Optional[int] = None
@@ -138,7 +131,7 @@ class ScenarioConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
 _INT_KEYS = {"n_points", "output_stride", "radial_points"}
 _BOOL_KEYS = {"snapshots"}
-_STR_KEYS = {"scenario", "kernel", "kernel_file"}
+_STR_KEYS = {"scenario"}
 _TRUE_WORDS = {"on", "true", "yes", "1"}
 _FALSE_WORDS = {"off", "false", "no", "0"}
 
@@ -232,8 +225,6 @@ def _config_problems(cfg: ScenarioConfig) -> List[str]:
 
     if cfg.scenario not in SCENARIOS:
         errors.append(f"scenario must be one of {', '.join(SCENARIOS)}")
-    if cfg.kernel not in KERNELS:
-        errors.append(f"kernel must be one of {', '.join(KERNELS)}")
     for name in ("stiffness_ratio", "dt", "t_end", "init_width",
                  "pilot_width", "relax_tol"):
         value = getattr(cfg, name)
@@ -241,8 +232,6 @@ def _config_problems(cfg: ScenarioConfig) -> List[str]:
             errors.append(f"{name} must be > 0")
     if not (0.0 < cfg.variance_ratio < 1.0):
         errors.append("variance_ratio must lie in (0, 1)")
-    if cfg.kernel == "custom-table" and not cfg.kernel_file:
-        errors.append("kernel_file is required for kernel = custom-table")
     if None not in (cfg.k_self, cfg.stiffness_ratio, cfg.k_ext):
         implied = cfg.stiffness_ratio * cfg.k_ext
         scale = max(abs(implied), abs(cfg.k_self))
@@ -341,14 +330,6 @@ def _resolve_model(cfg: ScenarioConfig, default_k_ext, default_ratio=None,
     return model
 
 
-def _require_outputs(n_steps: int, stride: int, needed: int, check: str):
-    """Refuse a stride that leaves a check fewer output times than it reads."""
-    n_out = n_steps // stride + 1
-    if n_out < needed:
-        raise ConfigError(f"output_stride = {stride} leaves {n_out} output "
-                          f"times in {n_steps} steps; {check} needs {needed}")
-
-
 def _grid(cfg: ScenarioConfig, half: float) -> Grid1D:
     """4096 nodes on [-half, half); each config key overrides its own default."""
     return Grid1D(cfg.n_points if cfg.n_points is not None else 4096,
@@ -362,7 +343,8 @@ def _steps(cfg: ScenarioConfig, t_end: float, dt: float, frames: Optional[int],
 
     ``t_end`` and ``dt`` are defaults the config overrides.  The output
     stride is the config's; failing that, about ``frames`` outputs;
-    failing that, every step.
+    failing that, every step.  A stride that leaves ``check`` fewer than
+    ``needed`` output times is refused.
     """
     t_end = cfg.t_end if cfg.t_end is not None else t_end
     dt = cfg.dt if cfg.dt is not None else dt
@@ -373,7 +355,10 @@ def _steps(cfg: ScenarioConfig, t_end: float, dt: float, frames: Optional[int],
         stride = max(1, n_steps // frames) if frames else 1
     spec = EvolutionSpec(dt=t_end / n_steps, t_end=t_end, output_stride=stride,
                          store_fields=store_fields)
-    _require_outputs(n_steps, stride, needed, check)
+    n_out = n_steps // stride + 1
+    if n_out < needed:
+        raise ConfigError(f"output_stride = {stride} leaves {n_out} output "
+                          f"times in {n_steps} steps; {check} needs {needed}")
     return spec
 
 
@@ -485,9 +470,9 @@ def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
                              norm_sq=1.0, hbar=phys.hbar, mass=phys.mass)
     soliton0 = gaussian_packet(grid, cfg.init_center, a_phi, norm_sq=1.0,
                                hbar=phys.hbar, mass=phys.mass)
-    full0 = WaveField(grid, pilot0.values * soliton0.values)
-    full0 = full0.with_values(
-        full0.values * math.sqrt(phys.norm_sq / squared_norm(full0)))
+    full0 = normalized(WaveField(grid, pilot0.values * soliton0.values),
+                       phys.norm_sq, f"the pilot at {cfg.pilot_center:g} times "
+                       f"the soliton at {cfg.init_center:g}")
 
     v_ext = harmonic_external(grid, model.k_ext)
     pilot_log, pilot_final = evolve_linear(pilot0, v_ext, spec, phys)
@@ -762,14 +747,6 @@ class EhrenfestResult:
         ]
 
 
-def _resolve_kernel(cfg: ScenarioConfig, phys: PhysParams,
-                    model: HarmonicModelParams):
-    """The kernel of a run whose ``kernel`` key is not "none"."""
-    if cfg.kernel == "custom-table":
-        return load_kernel_table(cfg.kernel_file, phys)
-    return sphere_quadratic_kernel(phys, model)
-
-
 def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
     stray = [f"ehrenfest takes no {name}: sphere_mass and sphere_radius set "
              f"its interaction" for name in ("k_self", "stiffness_ratio")
@@ -777,18 +754,15 @@ def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
     if stray:
         raise ConfigError(stray)
     phys = _resolve_phys(cfg)
-    if cfg.kernel == "none":
-        cfg = dataclasses.replace(cfg, kernel="sphere-quadratic")
     cfg = dataclasses.replace(
         cfg, sphere_mass=cfg.sphere_mass if cfg.sphere_mass is not None else 1.0,
         sphere_radius=cfg.sphere_radius if cfg.sphere_radius is not None else 5.0)
     model = _resolve_model(cfg, default_k_ext=1.0)
     if model.k_ext <= 0.0:
         raise ConfigError("ehrenfest needs k_ext > 0 for its trapped run")
-    kernel = _resolve_kernel(cfg, phys, model)
     return RunPlan(cfg, phys, model, _grid(cfg, 32.0),
                    _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check",
-                          False), kernel)
+                          False), sphere_quadratic_kernel(phys, model))
 
 
 def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
@@ -820,61 +794,6 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
         "norm_drift": _norm_drift(log_free, log_trap),
     }
     return EhrenfestResult(cfg, phys, metrics)
-
-
-@dataclass
-class CustomResult:
-    cfg: ScenarioConfig
-    log: TrajectoryLog
-    final: WaveField
-    metrics: dict
-
-    def checks(self) -> List[CheckResult]:
-        return [_check("norm-conservation", self.metrics["norm_drift"],
-                       NORM_DRIFT_TOL)]
-
-
-def _plan_custom(cfg: ScenarioConfig) -> RunPlan:
-    """A kernel run, a self-harmonic run for k_self > 0, else a linear one."""
-    phys = _resolve_phys(cfg)
-    required = {"n_points": cfg.n_points, "x_min": cfg.x_min,
-                "x_max": cfg.x_max, "dt": cfg.dt, "t_end": cfg.t_end,
-                "init_center": cfg.init_center, "init_width": cfg.init_width}
-    missing = [k for k, v in required.items() if v is None]
-    if missing:
-        raise ConfigError([f"custom scenario requires key '{k}'" for k in missing])
-    grid = Grid1D(cfg.n_points, cfg.x_min, cfg.x_max)
-    spec = EvolutionSpec(dt=cfg.dt, t_end=cfg.t_end,
-                         output_stride=(cfg.output_stride
-                                        if cfg.output_stride is not None else 1),
-                         store_fields=cfg.snapshots)
-    _require_outputs(spec.n_steps, spec.output_stride, 2, "norm-conservation")
-    k_ext = cfg.k_ext if cfg.k_ext is not None else 0.0
-    model, kernel = HarmonicModelParams(k_ext, 0.0), None
-    if cfg.kernel != "none":
-        model = _resolve_model(cfg, default_k_ext=k_ext, default_k_self=0.0)
-        kernel = _resolve_kernel(cfg, phys, model)
-    elif cfg.k_self is not None and cfg.k_self > 0.0:
-        model = _resolve_model(cfg, default_k_ext=k_ext)
-        _check_dt_accuracy(spec, math.sqrt((model.k_ext + model.k_self)
-                                           / phys.mass))
-    return RunPlan(cfg, phys, model, grid, spec, kernel)
-
-
-def build_custom(cfg: ScenarioConfig) -> CustomResult:
-    """Generic single-wave run driven entirely by the config."""
-    _, phys, model, grid, spec, kernel = _plan_custom(cfg)
-    psi0 = gaussian_packet(grid, cfg.init_center, cfg.init_width,
-                           velocity=cfg.init_velocity, norm_sq=phys.norm_sq,
-                           hbar=phys.hbar, mass=phys.mass)
-    v_ext = harmonic_external(grid, model.k_ext)
-    if kernel is not None:
-        log, final = evolve_kernel(psi0, kernel, v_ext, spec, phys)
-    elif model.k_self > 0.0:
-        log, final = evolve_self_harmonic(psi0, model, spec, phys)
-    else:
-        log, final = evolve_linear(psi0, v_ext, spec, phys)
-    return CustomResult(cfg, log, final, {"norm_drift": _norm_drift(log)})
 
 
 def _snapshots(cfg: ScenarioConfig, *runs) -> List[Path]:
@@ -910,17 +829,6 @@ def _write_choquard(result: ChoquardScenarioResult, out: Path) -> List[Path]:
     return [tsv]
 
 
-def _write_trajectory_tsv(log, path):
-    write_table(path, "t\tmean_x\tmean_x2\tnorm_sq\tenergy",
-                float_row(5, "\t"), log.as_arrays())
-
-
-def _write_custom(result: CustomResult, out: Path) -> List[Path]:
-    tsv = out / "trajectory.tsv"
-    _write_trajectory_tsv(result.log, tsv)
-    return [tsv] + _snapshots(result.cfg, (result.log, out / "snapshots"))
-
-
 def _write_nothing(result, out: Path) -> List[Path]:
     return []
 
@@ -934,7 +842,6 @@ _SCENARIO_TABLE = {
     "choquard": (_plan_choquard, "build_choquard", _write_choquard),
     "ehrenfest": (_plan_ehrenfest, "build_ehrenfest", _write_nothing),
     "boost": (_plan_boost, "build_boost", _write_nothing),
-    "custom": (_plan_custom, "build_custom", _write_custom),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 

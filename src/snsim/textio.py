@@ -1,11 +1,10 @@
 """Plain-text tables of floats, one row per line.
 
-The snapshot files, the guidance and oracle CSVs and the custom
-trajectory TSV print their floats as ``%.17g``, which reads back as the
-same float64, and end their lines in LF.  Rows are formatted a block at
-a time, with one ``%`` operation on the row template repeated for the
-block, so the cost per value is the float-to-text conversion itself and
-little else.
+The snapshot files and the guidance and oracle CSVs print their floats
+as ``%.17g``, which reads back as the same float64, and end their lines
+in LF.  Rows are formatted a block at a time, with one ``%`` operation
+on the row template repeated for the block, so the cost per value is the
+float-to-text conversion itself and little else.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ from snsim.potentials import (
     PhysParams,
     convolution_self_potential,
     harmonic_external,
-    load_kernel_table,
     scaling_check,
     self_harmonic,
     self_stiffness,
@@ -129,25 +128,18 @@ class TestConvolutionDirectSum:
     GRID = Grid1D(256, -8.0, 8.0)
 
     @staticmethod
-    def sphere(tmp_path):
+    def sphere():
         model = HarmonicModelParams(k_ext=0.0, k_self=self_stiffness(1.0, 1.0, 5.0, 1.0),
                                     sphere_mass=1.0, sphere_radius=5.0)
         return sphere_quadratic_kernel(PhysParams(), model)
 
     @staticmethod
-    def gaussian(tmp_path):
+    def gaussian():
         return ConvolutionKernel(lambda u: np.exp(-0.5 * u * u), -1.3)
 
-    @staticmethod
-    def table(tmp_path):
-        u = np.linspace(0.0, 16.0, 801)
-        path = tmp_path / "kernel.txt"
-        np.savetxt(path, np.column_stack([u, 1.0 / (1.0 + u * u)]))
-        return load_kernel_table(path, PhysParams())
-
-    @pytest.mark.parametrize("make", ["sphere", "gaussian", "table"])
-    def test_matches_direct_sum(self, make, tmp_path):
-        kernel = getattr(self, make)(tmp_path)
+    @pytest.mark.parametrize("make", ["sphere", "gaussian"])
+    def test_matches_direct_sum(self, make):
+        kernel = getattr(self, make)()
         grid = self.GRID
         # an asymmetric density, so no symmetry hides an index error
         f = WaveField(grid, gaussian_packet(grid, -1.5, 0.8, velocity=2.0).values
@@ -246,32 +238,6 @@ class TestStiffnessConsistency:
         with pytest.raises(ConfigError) as err:
             self_stiffness(1.0, mass, radius, 1.0)
         assert "sphere_mass" in str(err.value) and "sphere_radius" in str(err.value)
-
-
-class TestKernelTable:
-    def test_round_trip(self, tmp_path):
-        u = np.linspace(0.0, 60.0, 200)
-        f = np.exp(-u / 3.0)
-        path = tmp_path / "kernel.txt"
-        np.savetxt(path, np.column_stack([u, f]))
-        kernel = load_kernel_table(path, PhysParams())
-        probe = np.array([0.0, 1.5, 10.0])
-        assert np.allclose(kernel.sample(probe), np.interp(probe, u, f))
-
-    def test_monotonic_required(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        np.savetxt(path, np.array([[0.0, 1.0], [0.5, 0.9], [0.4, 0.8]]))
-        with pytest.raises(ConfigError):
-            load_kernel_table(path, PhysParams())
-
-    def test_range_enforced(self, tmp_path):
-        u = np.linspace(0.0, 1.0, 10)
-        path = tmp_path / "short.txt"
-        np.savetxt(path, np.column_stack([u, u]))
-        kernel = load_kernel_table(path, PhysParams())
-        f = gaussian_packet(GRID, 0.0, 1.0)
-        with pytest.raises(ConfigError):
-            convolution_self_potential(f, kernel)
 
 
 class TestPhaseQuadraticInvariants:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from snsim.errors import ConfigError, SimulationError
 from snsim.fields import Grid1D, WaveField, moments, phase_amplitude
 from snsim.scenarios import (
-    KERNELS,
     SCENARIOS,
     ScenarioConfig,
     parse_config,
@@ -39,12 +38,9 @@ KEYS = {
     "stiffness_ratio": _finite(1.0, 100.0),
     "sphere_mass": _finite(0.5, 2.0),
     "sphere_radius": _finite(2.0, 8.0),
-    "kernel": st.sampled_from(KERNELS),
-    # no file by these names exists, so custom-table runs are refused
-    "kernel_file": st.text("abcxyz0123._-", min_size=1, max_size=12).map(
-        lambda name: f"no-such-dir/{name}"),
     "output_stride": st.integers(1, 8),
-    "init_center": _finite(-2.0, 2.0),
+    # now and then far off the grid, where the packet has no density
+    "init_center": st.one_of(_finite(-2.0, 2.0), st.sampled_from([-1e3, 1e3])),
     "init_width": _finite(0.3, 2.0),
     "init_velocity": _finite(-2.0, 2.0),
     "pilot_center": _finite(-1.0, 1.0),
@@ -55,8 +51,6 @@ KEYS = {
     "relax_tol": _finite(1e-8, 1e-4),
     "snapshots": st.booleans(),
 }
-# keys the custom scenario refuses to run without
-CUSTOM_KEYS = ("x_min", "x_max", "init_center", "init_width")
 
 
 @st.composite
@@ -68,13 +62,11 @@ def configs(draw):
     """
     scenario = draw(st.sampled_from(SCENARIOS))
     chosen = set(draw(st.sets(st.sampled_from(sorted(KEYS)), max_size=6)))
-    if scenario == "custom" and draw(st.booleans()):
-        chosen.update(CUSTOM_KEYS)
     values = {k: draw(KEYS[k]) for k in sorted(chosen)}
     values.update(scenario=scenario,
-                  n_points=draw(st.sampled_from([64, 128, 256])),
+                  n_points=draw(st.sampled_from([1, 64, 128, 256])),
                   radial_points=draw(st.sampled_from([32, 64, 128])))
-    if scenario == "custom" or draw(st.booleans()):
+    if draw(st.booleans()):
         values["t_end"] = draw(_finite(0.05, 1.0))
         values["dt"] = values["t_end"] / draw(st.integers(20, 300))
     return ScenarioConfig(**values)

@@ -6,7 +6,6 @@ import pytest
 import snsim.scenarios
 from snsim.cli import main
 from snsim.errors import ConfigError
-from snsim.propagate import read_snapshot
 from snsim.scenarios import (
     ScenarioConfig,
     _resolve_model,
@@ -23,12 +22,6 @@ from snsim.scenarios import (
 
 # a cheap but resolved oscillating-soliton configuration for CLI tests
 SMALL_FIG_TEXT = "scenario = figure1\nn_points = 2048\n"
-# a trapped free packet over 50 steps
-CUSTOM_TEXT = (
-    "scenario = custom\nn_points = 1024\nx_min = -16\nx_max = 16\n"
-    "k_ext = 1.0\ndt = 0.001\nt_end = 0.05\n"
-    "init_center = 1.0\ninit_width = 1.0\n"
-)
 
 # each rule a scenario's plan states: a template, and a value of one key
 # that breaks the rule, with a fragment of the plan's message
@@ -42,11 +35,6 @@ PLAN_RULES = {
     "dt-bound": ({"n_points": 1024}, "dt", 0.1, "exceeds the accuracy bound"),
     "sphere-stiffness": ({"n_points": 1024, "sphere_radius": 1.0},
                          "sphere_mass", 1e200, "is not a finite number"),
-    "kernel-file": ({"scenario": "custom", "n_points": 1024, "x_min": -16.0,
-                     "x_max": 16.0, "dt": 0.001, "t_end": 0.05,
-                     "init_center": 1.0, "kernel": "custom-table",
-                     "kernel_file": "no-such-dir/table.txt"},
-                    "init_width", 1.0, "cannot be read"),
     # a velocity below half the grid's step used to run a packet at rest
     "boost-velocity-snap": ({"scenario": "boost", "n_points": 256, "x_min": -4.0,
                              "x_max": 4.0}, "init_velocity", 0.3,
@@ -96,7 +84,7 @@ class TestParseConfig:
 
     def test_sphere_consistency_error(self):
         text = (
-            "scenario = custom\nG = 1.0\nnorm_sq = 1.0\n"
+            "scenario = ground-state\nG = 1.0\nnorm_sq = 1.0\n"
             "sphere_mass = 1.0\nsphere_radius = 2.0\nk_self = 0.9\n"
         )
         with pytest.raises(ConfigError) as err:
@@ -105,8 +93,8 @@ class TestParseConfig:
 
     def test_sphere_consistency_passes(self):
         # k_self = G M^2 N^2 / (2 R^3) = 1/16
-        text = CUSTOM_TEXT + (
-            "G = 1.0\nnorm_sq = 1.0\n"
+        text = (
+            "scenario = ground-state\nG = 1.0\nnorm_sq = 1.0\n"
             "sphere_mass = 1.0\nsphere_radius = 2.0\nk_self = 0.0625\n"
         )
         cfg = parse_config(text)
@@ -141,11 +129,11 @@ class TestParseConfig:
         ("x_min = 3\nx_max = 1", {"x_min must be below x_max"}),
         ("variance_ratio = 2", {"variance_ratio must lie in (0, 1)"}),
         ("scenario = nowhere", {"scenario must be one of figure1, ground-state, "
-                                "choquard, ehrenfest, boost, custom"}),
+                                "choquard, ehrenfest, boost"}),
         ("k_ext = 1\nk_self = 5\nstiffness_ratio = 4",
          {"k_self=5.0 disagrees with stiffness_ratio*k_ext=4.0"}),
-        ("kernel = custom-table",
-         {"kernel_file is required for kernel = custom-table"}),
+        # the kernel is the ehrenfest scenario's sphere; no key selects it
+        ("kernel = sphere-quadratic", {"line 1: unknown key 'kernel'"}),
         ("G = 0\nnorm_sq = -1\nsphere_mass = -1",
          {"G must be > 0", "norm_sq must be > 0", "sphere_mass must be > 0"}),
     ])
@@ -218,6 +206,14 @@ class TestRunPlan:
         grid = result.field.grid if scenario == "ground-state" else result.grid
         assert (grid.x_min, grid.x_max) == (-20.0, x_max)
 
+    def test_unbounded_grid_refused_by_the_plan(self):
+        # the stationary width of a subnormal stiffness overflows, so the
+        # default grid spans [-inf, inf); its run failed on NaN nodes
+        cfg = ScenarioConfig(scenario="ground-state",
+                             k_self=2.225073858507203e-309)
+        assert validate_config(cfg) == [
+            "the grid [-inf, inf) has no finite length"]
+
     def test_refused_run_leaves_no_directory(self, tmp_path):
         out = tmp_path / "run"
         with pytest.raises(ConfigError, match="output times"):
@@ -247,22 +243,6 @@ class TestRunScenario:
         b = (tmp_path / "b" / "guidance.csv").read_bytes()
         assert a == b
 
-    def test_custom_scenario_with_snapshots(self, tmp_path):
-        text = (
-            "scenario = custom\nn_points = 1024\nx_min = -16\nx_max = 16\n"
-            "k_ext = 1.0\ndt = 0.001\nt_end = 0.05\noutput_stride = 10\n"
-            "init_center = 1.0\ninit_width = 1.0\nsnapshots = on\n"
-        )
-        cfg = parse_config(text)
-        report = run_scenario(cfg, tmp_path)
-        assert report.passed
-        assert (tmp_path / "trajectory.tsv").exists()
-        snaps = sorted((tmp_path / "snapshots").glob("snap_*.dat"))
-        assert len(snaps) == 6
-        t, x, vals = read_snapshot(snaps[0])
-        assert t == 0.0
-        assert len(x) == 1024
-
     def test_choquard_outputs(self, tmp_path):
         cfg = parse_config("scenario = choquard\n")
         report = run_scenario(cfg, tmp_path)
@@ -285,10 +265,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("text, dirs", [
         ("scenario = figure1\nn_points = 1024\noutput_stride = 40\n",
          ("pilot", "full")),
-        ("scenario = custom\nn_points = 1024\nx_min = -16\nx_max = 16\n"
-         "dt = 0.001\nt_end = 0.05\noutput_stride = 10\n"
-         "init_center = 1.0\ninit_width = 1.0\n", ("snapshots",)),
-    ], ids=["figure1", "custom"])
+    ], ids=["figure1"])
     def test_snapshots_off_rerun_clears_stale_frames(self, tmp_path, text,
                                                      dirs):
         run_scenario(parse_config(text + "snapshots = on\n"), tmp_path)
@@ -437,52 +414,102 @@ class TestCli:
             rows = (out / name).read_text().splitlines()[1:]
             assert [row.split(",")[0] for row in rows] == t_column
 
-    @pytest.mark.parametrize("scenario, stride", [
-        ("figure1", 101), ("figure1", 134), ("figure1", 201),
-        ("ehrenfest", 300), ("ehrenfest", 1000), ("boost", 2001),
-    ])
-    def test_too_few_output_times_rejected(self, tmp_path, capsys, scenario,
-                                           stride):
-        # figure1 takes 400 steps at 2048 nodes, ehrenfest 1000, boost 2000
+    def _run_rejected(self, tmp_path, capsys, scenario, text):
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(f"scenario = {scenario}\nn_points = 2048\n"
-                            f"output_stride = {stride}\n")
+        cfg_path.write_text(text)
         code = main(["run", scenario, "--config", str(cfg_path),
-                     "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "output times" in err and "Traceback" not in err
-
-    def _run_custom(self, tmp_path, capsys, extra):
-        cfg_path = tmp_path / "custom.cfg"
-        cfg_path.write_text(CUSTOM_TEXT + extra)
-        code = main(["run", "custom", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and "Traceback" not in err
         return err
 
-    def test_custom_too_few_output_times_rejected(self, tmp_path, capsys):
-        # 50 steps with stride 100 log only t = 0, which made the norm
-        # check pass vacuously
-        err = self._run_custom(tmp_path, capsys, "output_stride = 100\n")
-        assert "output times" in err and "norm-conservation" in err
+    @pytest.mark.parametrize("scenario, stride", [
+        ("figure1", 101), ("figure1", 134), ("figure1", 201),
+        ("ehrenfest", 300), ("ehrenfest", 1000), ("boost", 2001),
+    ])
+    def test_too_few_output_times_rejected(self, tmp_path, capsys, scenario,
+                                           stride):
+        # figure1 takes 400 steps at 2048 nodes, ehrenfest 1000, boost 2000;
+        # a stride past the last step logs only t = 0, which would make a
+        # check over two output times pass vacuously
+        err = self._run_rejected(tmp_path, capsys, scenario,
+                                 f"scenario = {scenario}\nn_points = 2048\n"
+                                 f"output_stride = {stride}\n")
+        needs = ("the boost velocity needs 2" if scenario == "boost"
+                 else "the mean-motion check needs 5")
+        assert "output times" in err and needs in err
 
-    def test_custom_missing_kernel_file(self, tmp_path, capsys):
-        table = tmp_path / "absent.txt"
-        err = self._run_custom(
-            tmp_path, capsys,
-            f"kernel = custom-table\nkernel_file = {table}\n")
-        assert str(table) in err
+    def test_removed_scenario_refused_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "custom"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'custom'" in capsys.readouterr().err
 
-    def test_custom_malformed_kernel_file(self, tmp_path, capsys):
-        table = tmp_path / "table.txt"
-        table.write_text("0 1\n1 one\n")
-        err = self._run_custom(
-            tmp_path, capsys,
-            f"kernel = custom-table\nkernel_file = {table}\n")
-        assert str(table) in err and "numeric" in err
+    @pytest.mark.parametrize("line", ["kernel = sphere-quadratic",
+                                      "kernel_file = x"])
+    def test_removed_keys_exit_two(self, tmp_path, capsys, line):
+        err = self._run_rejected(tmp_path, capsys, "ehrenfest",
+                                 f"scenario = ehrenfest\n{line}\n")
+        assert f"unknown key '{line.split()[0]}'" in err
+
+    def test_config_scenario_line_naming_custom(self, tmp_path, capsys):
+        # the scenario line is read where no --scenario overrides it
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("scenario = custom\n")
+        err = self._sweep_rejected(tmp_path, capsys, "k_self", "1",
+                                   "--config", str(cfg_path))
+        assert ("config error: scenario must be one of figure1, ground-state, "
+                "choquard, ehrenfest, boost") in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(b"scenario = figure1\n# caf\xe9\n")
+        code = main(["run", "figure1", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert f"config error: cannot read config {cfg_path}: not UTF-8 text" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario, text, packet", [
+        ("boost", "init_center = 1000\n", "centre 1000 with width 0.177828"),
+        ("ehrenfest", "x_min = 200\nx_max = 300\n", "centre -2 with width 1"),
+        ("figure1", "n_points = 1\n", "centre 1 with width 0.177784"),
+        ("boost", "n_points = 1\n", "centre -0.5 with width 0.177828"),
+        ("ehrenfest", "n_points = 1\n", "centre -2 with width 1"),
+    ], ids=["boost-off-grid", "ehrenfest-off-grid", "figure1-one-node",
+            "boost-one-node", "ehrenfest-one-node"])
+    def test_packet_without_density_on_the_grid(self, tmp_path, capsys,
+                                                scenario, text, packet):
+        # the packet's norm was 0, and normalizing it divided by zero
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(text)
+        code = main(["run", scenario, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and "Traceback" not in err
+        assert f"error: a Gaussian packet at {packet} has no density on" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_member_packet_off_the_grid(self, tmp_path, capsys):
+        # the member at 1000 gets an ERROR row; the one at 0 still runs
+        cfg_path = tmp_path / "boost.cfg"
+        cfg_path.write_text("n_points = 1024\nt_end = 0.05\n")
+        out = tmp_path / "sw"
+        code = main(["sweep", "--scenario", "boost", "--param", "init_center",
+                     "--values", "0,1000", "--config", str(cfg_path),
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and "Traceback" not in captured.err
+        assert "init_center=0: PASS" in captured.out
+        message = ("a Gaussian packet at centre 1000 with width 0.177828 has "
+                   "no density on the 1024-node grid [-16, 16)")
+        assert f"init_center=1000: ERROR {message}" in captured.out
+        rows = (out / "sweep.tsv").read_text().splitlines()
+        assert rows[1].split("\t")[:2] == ["0", "yes"]
+        assert rows[2].split("\t")[:2] == ["1000", "no"]
+        assert rows[2].endswith("\t" + message)
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "figure1", "--config", str(tmp_path / "no.cfg"),
@@ -533,7 +560,8 @@ class TestCli:
         "sphere_mass = 1\nsphere_radius = 1e-200\n",
     ], ids=["mass-overflow", "radius-underflow"])
     def test_non_finite_sphere_stiffness(self, tmp_path, capsys, sphere):
-        err = self._run_custom(tmp_path, capsys, sphere + "k_self = 1\n")
+        err = self._run_rejected(tmp_path, capsys, "ground-state",
+                                 sphere + "k_self = 1\n")
         assert "sphere_mass" in err and "sphere_radius" in err
 
     def test_ehrenfest_vanishing_t_end(self, tmp_path, capsys):
@@ -576,12 +604,11 @@ class TestCli:
         assert code in (0, 1)
         assert "config error" not in capsys.readouterr().err
 
-    def test_custom_file_without_scenario_line(self, tmp_path, capsys):
+    def test_file_without_scenario_line(self, tmp_path, capsys):
         # k_ext = 0, which figure1 (the file's default scenario) refuses
-        cfg_path = tmp_path / "custom.cfg"
-        cfg_path.write_text(CUSTOM_TEXT.replace("scenario = custom\n", "")
-                            .replace("k_ext = 1.0", "k_ext = 0.0"))
-        code = main(["run", "custom", "--config", str(cfg_path),
+        cfg_path = tmp_path / "boost.cfg"
+        cfg_path.write_text("n_points = 1024\nk_ext = 0.0\nt_end = 0.05\n")
+        code = main(["run", "boost", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")])
         assert code == 0
 

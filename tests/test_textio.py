@@ -13,7 +13,6 @@ from snsim.fields import Grid1D, WaveField
 from snsim.guidance import CSV_COLUMNS, VelocityDecomposition, write_guidance_csv
 from snsim.oracles import write_series_csv
 from snsim.propagate import TrajectoryLog, read_snapshot, write_snapshots
-from snsim.scenarios import _write_trajectory_tsv
 from snsim.textio import _BLOCK_ROWS
 
 # more than one block, and not a whole number of them
@@ -106,18 +105,6 @@ class TestTables:
                         [np.asarray(c) for c in columns], ",")
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
-
-    def test_trajectory_tsv_bytes(self, tmp_path):
-        rng = np.random.default_rng(4)
-        log = TrajectoryLog(store_fields=False)
-        for row in zip(*(_floats(rng, _BLOCK_ROWS + 1) for _ in range(5))):
-            log.append(*row)
-        _write_trajectory_tsv(log, tmp_path / "new.tsv")
-        reference_table(tmp_path / "ref.tsv",
-                        "t\tmean_x\tmean_x2\tnorm_sq\tenergy",
-                        log.as_arrays(), "\t")
-        assert ((tmp_path / "new.tsv").read_bytes()
-                == (tmp_path / "ref.tsv").read_bytes())
 
     @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS + 3])
     def test_guidance_csv_bytes(self, tmp_path, n_rows):
