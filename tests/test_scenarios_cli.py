@@ -440,6 +440,15 @@ class TestCli:
                  else "the mean-motion check needs 5")
         assert "output times" in err and needs in err
 
+    def test_custom_too_few_output_times_rejected(self, tmp_path, capsys):
+        # a shortened run: 50 steps with stride 100 log only t = 0, which
+        # would make the two-point velocity check pass vacuously
+        err = self._run_rejected(tmp_path, capsys, "boost",
+                                 "scenario = boost\nt_end = 0.05\n"
+                                 "dt = 0.001\noutput_stride = 100\n")
+        assert ("output_stride = 100 leaves 1 output times in 50 steps; "
+                "the boost velocity needs 2") in err
+
     def test_removed_scenario_refused_by_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "custom"])
