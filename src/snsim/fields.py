@@ -172,16 +172,6 @@ def phase_amplitude(f: WaveField) -> PhaseAmplitude:
     )
 
 
-def mean_position(f: WaveField) -> float:
-    """|f|^2-weighted mean position; requires positive norm."""
-    v = f.values
-    rho = v.real * v.real + v.imag * v.imag
-    total = rho.sum()
-    if total <= 0.0:
-        raise DegenerateInputError("zero-norm field has no mean position")
-    return float((rho * f.grid.nodes).sum() / total)
-
-
 def moments(f: WaveField, hbar: float = 1.0) -> FieldMoments:
     """Mean position, mean momentum, variance and x-p covariance of f."""
     v = f.values

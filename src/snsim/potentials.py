@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .fields import Grid1D, WaveField, mean_position
+from .errors import ConfigError, DegenerateInputError
+from .fields import Grid1D, WaveField
 
 logger = logging.getLogger(__name__)
 
@@ -143,15 +143,20 @@ def harmonic_external(grid: Grid1D, k_ext: float) -> np.ndarray:
     return 0.5 * k_ext * x * x
 
 
-def self_harmonic(f: WaveField, model: HarmonicModelParams) -> np.ndarray:
-    """Mean-field self-trap k_self (x - <x>_f)^2 / 2.
+def _self_trap(x: np.ndarray, rho: np.ndarray, k_self: float) -> np.ndarray:
+    """Mean-field self-trap k_self (x - <x>)^2 / 2, <x> the rho-weighted mean of
+    the nodes ``x``, so the rho-weighted mean force vanishes identically."""
+    total = rho.sum()
+    if total <= 0.0:
+        raise DegenerateInputError("zero-norm field has no mean position")
+    u = x - (rho * x).sum() / total
+    return 0.5 * k_self * u * u
 
-    The packet centre is the |f|^2-weighted mean, so the |f|^2-weighted
-    mean force of this potential vanishes identically.
-    """
-    xbar = mean_position(f)  # raises DegenerateInputError on zero norm
-    u = f.grid.nodes - xbar
-    return 0.5 * model.k_self * u * u
+
+def self_harmonic(f: WaveField, model: HarmonicModelParams) -> np.ndarray:
+    """Mean-field self-trap k_self (x - <x>)^2 / 2 of the density |f|^2."""
+    v = f.values
+    return _self_trap(f.grid.nodes, v.real * v.real + v.imag * v.imag, model.k_self)
 
 
 @functools.lru_cache(maxsize=8)

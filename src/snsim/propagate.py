@@ -9,7 +9,8 @@ after the kinetic step closes step n and opens step n + 1: one
 evaluation per step, at the midpoint density, which keeps the scheme
 second order and time reversible.  Between outputs the two half-steps
 are fused into one exp(-i V dt / hbar); at an output the same value
-feeds the logged energy.
+feeds the logged energy.  Imaginary-time relaxation of the trap model
+builds the same family and monitors the same energy.
 
 A propagation run owns its working array exclusively; the returned log
 is append-only during the run and should be treated as immutable after.
@@ -37,6 +38,7 @@ from .potentials import (
     ConvolutionKernel,
     HarmonicModelParams,
     PhysParams,
+    _self_trap,
     convolution_self_potential,
     harmonic_external,
     sphere_validity_ratio,
@@ -147,6 +149,26 @@ class _Family:
     energy_weight: float = 1.0
 
 
+def _self_trap_family(grid: Grid1D, model: HarmonicModelParams) -> _Family:
+    """The trap k_ext x^2/2 plus the mean-field self-trap; static at k_self = 0."""
+    x = grid.nodes
+
+    def self_potential(vals):
+        return _self_trap(x, _density(vals), model.k_self)
+
+    return _Family(harmonic_external(grid, model.k_ext),
+                   self_potential if model.k_self != 0.0 else None)
+
+
+def _energy(vals: np.ndarray, rho: np.ndarray, family: _Family, v_self,
+            grid: Grid1D, phys: PhysParams) -> float:
+    """<T> + <v_ext> + energy_weight <V_self> of ``vals``, of density ``rho``."""
+    energy = _kinetic_energy(vals, grid, phys) + float(np.sum(family.v_ext * rho) * grid.dx)
+    if v_self is not None:
+        energy += family.energy_weight * float(np.sum(v_self * rho) * grid.dx)
+    return energy
+
+
 class _Recorder:
     """Per-output bookkeeping of a Strang run."""
 
@@ -190,11 +212,7 @@ class _Recorder:
             mean2 = float((rho * x * x).sum() * dx / n2)
         else:
             mean = mean2 = 0.0
-        energy = _kinetic_energy(vals, self.grid, self.phys) + float(
-            np.sum(self.family.v_ext * rho) * dx
-        )
-        if v_self is not None:
-            energy += self.family.energy_weight * float(np.sum(v_self * rho) * dx)
+        energy = _energy(vals, rho, self.family, v_self, self.grid, self.phys)
         fld = WaveField(self.grid, vals.copy()) if self.spec.store_fields else None
         self.log.append(t, mean, mean2, n2, energy, fld)
 
@@ -301,8 +319,6 @@ def evolve_self_harmonic(
     <T> + <V_ext> + (k_self/2) N^2 Var, whose density derivative is
     exactly the self potential.
     """
-    grid = psi0.grid
-    x = grid.nodes
     ratio = sphere_validity_ratio(psi0, model)
     if ratio is not None and ratio > 0.2:
         logger.warning(
@@ -312,15 +328,7 @@ def evolve_self_harmonic(
     omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
     if omega_fast > 0:
         _check_dt_accuracy(spec, omega_fast)
-
-    def self_potential(vals):
-        rho = _density(vals)
-        u = x - (rho * x).sum() / rho.sum()
-        return 0.5 * model.k_self * u * u
-
-    family = _Family(harmonic_external(grid, model.k_ext),
-                     self_potential if model.k_self != 0.0 else None)
-    return _evolve(psi0, family, spec, phys)
+    return _evolve(psi0, _self_trap_family(psi0.grid, model), spec, phys)
 
 
 def evolve_kernel(
@@ -351,29 +359,27 @@ class RelaxResult:
 
 def imaginary_time_relax(
     psi0: WaveField,
-    potential_builder: Callable[[WaveField], np.ndarray],
+    model: HarmonicModelParams,
     target_norm_sq: float,
     tol: float = 1e-10,
     phys: PhysParams = PhysParams(),
-    energy_fn: Optional[Callable[[WaveField, np.ndarray], float]] = None,
     max_iters: int = 200_000,
 ) -> RelaxResult:
-    """Gradient-flow relaxation to the self-consistent ground state.
+    """Gradient-flow relaxation to the ground state of the trap model.
 
     Each step applies the split imaginary-time factor
-    exp(-V dtau/2) exp(-T dtau) exp(-V dtau/2) with the potential rebuilt
-    from the current field, then renormalizes to ``target_norm_sq``.  A
-    step that raises the monitored energy beyond roundoff is rejected and
-    dtau halved; a roundoff-sized rise keeps the current state and counts
-    as a step of zero change.  So the recorded energy history is
+    exp(-V dtau/2) exp(-T dtau) exp(-V dtau/2) with the potential of
+    :func:`evolve_self_harmonic` rebuilt from the current field, then
+    renormalizes to ``target_norm_sq``.  A step that raises the energy
+    evolve_self_harmonic logs beyond roundoff is rejected and dtau
+    halved; a roundoff-sized rise keeps the current state and counts as
+    a step of zero change.  So the recorded energy history is
     non-increasing.  Convergence is a relative energy change below
     ``tol`` on three consecutive steps.
 
     Returns the relaxed field, the eigenvalue <psi|H[psi]|psi>/<psi|psi>
-    with the potential frozen at convergence, and the monitored energy
-    (for nonlinear problems the two differ; pass ``energy_fn``, called
-    with a field and the potential built from it, to monitor the true
-    energy functional, otherwise the eigenvalue quotient is used).
+    with the potential frozen at convergence, and the energy; for
+    k_self > 0 the two differ.
     """
     if target_norm_sq <= 0.0:
         raise ConfigError("target_norm_sq must be positive")
@@ -384,21 +390,16 @@ def imaginary_time_relax(
     if n0 <= 0.0:
         raise DegenerateInputError("seed state must have positive norm")
     vals = psi0.values * np.sqrt(target_norm_sq / n0)
+    family = _self_trap_family(grid, model)
 
-    def rayleigh(v, pot):
-        n2 = float(_density(v).sum() * dx)
-        t = _kinetic_energy(v, grid, phys)
-        u = float(np.sum(pot * _density(v)) * dx)
-        return (t + u) / n2
-
-    def monitored(v, pot):
-        if energy_fn is not None:
-            return energy_fn(WaveField(grid, v), pot)
-        return rayleigh(v, pot)
+    def evaluate(v):
+        """The potential built from ``v``, and the energy of ``v``."""
+        v_self = family.self_potential(v) if family.self_potential else None
+        pot = family.v_ext if v_self is None else family.v_ext + v_self
+        return pot, _energy(v, _density(v), family, v_self, grid, phys)
 
     dtau = RELAX_DTAU0
-    pot = np.asarray(potential_builder(WaveField(grid, vals)), dtype=float)
-    energy = monitored(vals, pot)
+    pot, energy = evaluate(vals)
     history = [energy]
     consecutive = 0
     iters = 0
@@ -415,8 +416,7 @@ def imaginary_time_relax(
         if n2 <= 0.0:
             raise ConvergenceError("relaxation collapsed to zero norm", history)
         trial *= np.sqrt(target_norm_sq / n2)
-        pot_trial = np.asarray(potential_builder(WaveField(grid, trial)), dtype=float)
-        e_new = monitored(trial, pot_trial)
+        pot_trial, e_new = evaluate(trial)
         if e_new > energy + 1e-14 * max(1.0, abs(energy)):
             dtau *= 0.5
             if dtau < 1e-14:
@@ -459,9 +459,10 @@ def imaginary_time_relax(
         raise ConvergenceError(
             f"no convergence after {max_iters} imaginary-time steps", history
         )
-    final = WaveField(grid, vals)
-    eigenvalue = rayleigh(vals, pot)
-    return RelaxResult(final, eigenvalue, energy, iters, history)
+    rho = _density(vals)
+    eigenvalue = ((_kinetic_energy(vals, grid, phys) + float(np.sum(pot * rho) * dx))
+                  / float(rho.sum() * dx))
+    return RelaxResult(WaveField(grid, vals), eigenvalue, energy, iters, history)
 
 
 def remove_snapshots(out_dir) -> None:

@@ -35,7 +35,7 @@ from .choquard import (
     spectrum_value,
     write_result_records,
 )
-from .errors import ConfigError, SimulationError
+from .errors import BoundaryLeakError, ConfigError, SimulationError
 from .fields import Grid1D, WaveField, gaussian_packet, moments, normalized
 from .guidance import (
     decompose_run,
@@ -58,15 +58,14 @@ from .potentials import (
     HarmonicModelParams,
     PhysParams,
     harmonic_external,
-    self_harmonic,
     self_stiffness,
     sphere_quadratic_kernel,
     validate_self_stiffness,
 )
 from .propagate import (
+    BOUNDARY_LEAK_THRESHOLD,
     EvolutionSpec,
     _check_dt_accuracy,
-    _kinetic_energy,
     evolve_kernel,
     evolve_linear,
     evolve_self_harmonic,
@@ -90,6 +89,8 @@ SCALING_RATIO_TOL = 0.01
 BOOST_DEFORMATION_TOL = 1e-4
 BOOST_VELOCITY_TOL = 1e-6
 FREE_EHRENFEST_TOL = 5e-6
+# grid nodes required on the width a of the narrowest initial packet
+MIN_NODES_PER_WIDTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -330,11 +331,24 @@ def _resolve_model(cfg: ScenarioConfig, default_k_ext, default_ratio=None,
     return model
 
 
-def _grid(cfg: ScenarioConfig, half: float) -> Grid1D:
-    """4096 nodes on [-half, half); each config key overrides its own default."""
-    return Grid1D(cfg.n_points if cfg.n_points is not None else 4096,
+def soliton_width_param(model: HarmonicModelParams, phys: PhysParams) -> float:
+    """Stationary Gaussian width (hbar^2 / ((k_ext + k_self) m))^(1/4) in the traps."""
+    return (phys.hbar**2 / ((model.k_ext + model.k_self) * phys.mass)) ** 0.25
+
+
+def _grid(cfg: ScenarioConfig, half: float, width: float) -> Grid1D:
+    """4096 nodes on [-half, half); each config key overrides its own default.
+    Refused with fewer than MIN_NODES_PER_WIDTH nodes on ``width``, the width
+    a of the narrowest packet the run starts from (ground-state: relaxes to)."""
+    grid = Grid1D(cfg.n_points if cfg.n_points is not None else 4096,
                   cfg.x_min if cfg.x_min is not None else -half,
                   cfg.x_max if cfg.x_max is not None else half)
+    if grid.dx * MIN_NODES_PER_WIDTH > width:
+        raise ConfigError(
+            f"n_points = {grid.n_points} on [{grid.x_min:g}, {grid.x_max:g}) gives "
+            f"dx = {grid.dx:.4g}, which does not resolve the packet width "
+            f"a = {width:.4g}: dx must be at most a/{MIN_NODES_PER_WIDTH:g}")
+    return grid
 
 
 def _steps(cfg: ScenarioConfig, t_end: float, dt: float, frames: Optional[int],
@@ -432,12 +446,6 @@ class Figure1Result:
         ]
 
 
-def soliton_width_param(model: HarmonicModelParams, phys: PhysParams) -> float:
-    """Stationary Gaussian width sqrt(hbar / sqrt((k_ext + k_self) m))."""
-    k_total = model.k_ext + model.k_self
-    return math.sqrt(phys.hbar / math.sqrt(k_total * phys.mass))
-
-
 def _figure1_physics(cfg: ScenarioConfig):
     phys = _resolve_phys(cfg)
     model = _resolve_model(cfg, default_k_ext=1.0, default_ratio=1000.0)
@@ -448,11 +456,14 @@ def _figure1_physics(cfg: ScenarioConfig):
 
 def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
     cfg = resolve_sweep_window(cfg)  # sets t_end and pilot_width
-    if cfg.init_center is None:
-        cfg = dataclasses.replace(cfg, init_center=1.0)
     phys, model, omega_fast = _figure1_physics(cfg)
+    cfg = dataclasses.replace(
+        cfg, init_center=cfg.init_center if cfg.init_center is not None else 1.0,
+        init_width=(cfg.init_width if cfg.init_width is not None
+                    else soliton_width_param(model, phys)))
     grid = _grid(cfg, math.ceil(9.0 * math.sqrt(0.5 * cfg.pilot_width**2)
-                                + 4.0 * (abs(cfg.init_center) + 1.0)))
+                                + 4.0 * (abs(cfg.init_center) + 1.0)),
+                 min(cfg.init_width, cfg.pilot_width))
     # 200 steps per fast period keeps the width dynamics (the stiffest
     # observable) within the 1e-3 oracle-equivalence budget
     spec = _steps(cfg, cfg.t_end, 2.0 * math.pi / (200.0 * omega_fast), None,
@@ -464,11 +475,9 @@ def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
 def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
     """Run the oscillating-soliton configuration and analyze it."""
     cfg, phys, model, grid, spec, _ = _plan_figure1(cfg)
-    a_phi = cfg.init_width if cfg.init_width is not None else soliton_width_param(model, phys)
-
     pilot0 = gaussian_packet(grid, cfg.pilot_center, cfg.pilot_width, chirp=cfg.pilot_chirp,
                              norm_sq=1.0, hbar=phys.hbar, mass=phys.mass)
-    soliton0 = gaussian_packet(grid, cfg.init_center, a_phi, norm_sq=1.0,
+    soliton0 = gaussian_packet(grid, cfg.init_center, cfg.init_width, norm_sq=1.0,
                                hbar=phys.hbar, mass=phys.mass)
     full0 = normalized(WaveField(grid, pilot0.values * soliton0.values),
                        phys.norm_sq, f"the pilot at {cfg.pilot_center:g} times "
@@ -548,11 +557,6 @@ class BoostResult:
         ]
 
 
-def _stationary_width(model: HarmonicModelParams, phys: PhysParams) -> float:
-    """Ground-state width (hbar^2 / ((k_ext + k_self) m))^(1/4) in the traps."""
-    return (phys.hbar**2 / ((model.k_ext + model.k_self) * phys.mass)) ** 0.25
-
-
 def _plan_boost(cfg: ScenarioConfig) -> RunPlan:
     phys = _resolve_phys(cfg)
     model = _resolve_model(cfg, default_k_ext=0.0, default_k_self=1000.0)
@@ -565,7 +569,7 @@ def _plan_boost(cfg: ScenarioConfig) -> RunPlan:
     spec = _steps(cfg, period, period / 2000.0, 50, 2, "the boost velocity",
                   True)
     _check_dt_accuracy(spec, omega)
-    grid = _grid(cfg, 16.0)
+    grid = _grid(cfg, 16.0, soliton_width_param(model, phys))
     _boost_velocity(cfg, grid, phys)  # refuses one that snaps to 0
     return RunPlan(cfg, phys, model, grid, spec)
 
@@ -573,12 +577,18 @@ def _plan_boost(cfg: ScenarioConfig) -> RunPlan:
 def build_boost(cfg: ScenarioConfig) -> BoostResult:
     """Boosted self-trapped ground state translating without external trap."""
     _, phys, model, grid, spec, _ = _plan_boost(cfg)
-    a = _stationary_width(model, phys)
+    a = soliton_width_param(model, phys)
     center = cfg.init_center if cfg.init_center is not None else -0.5
 
     velocity = _boost_velocity(cfg, grid, phys)
     psi0 = gaussian_packet(grid, center, a, velocity=velocity,
                            norm_sq=phys.norm_sq, hbar=phys.hbar, mass=phys.mass)
+    # the reference translates on the open line: the packet must start clear
+    # of the periodic edges, where the leak check polices it
+    rho0 = np.abs(psi0.values) ** 2
+    edge = max(rho0[0], rho0[-1]) / rho0.max()
+    if edge > BOUNDARY_LEAK_THRESHOLD:
+        raise BoundaryLeakError(0.0, edge, BOUNDARY_LEAK_THRESHOLD)
     log, final = evolve_self_harmonic(psi0, model, spec, phys)
 
     times, mean_x, _, _, _ = log.as_arrays()
@@ -629,31 +639,19 @@ def _plan_ground_state(cfg: ScenarioConfig) -> RunPlan:
     model = _resolve_model(cfg, default_k_ext=0.0, default_k_self=10.0)
     if model.k_ext + model.k_self <= 0.0:
         raise ConfigError("ground-state scenario needs a confining potential")
-    grid = _grid(cfg, max(16.0, 12.0 * _stationary_width(model, phys)))
-    return RunPlan(cfg, phys, model, grid)
+    a_pred = soliton_width_param(model, phys)
+    return RunPlan(cfg, phys, model, _grid(cfg, max(16.0, 12.0 * a_pred), a_pred))
 
 
 def build_ground_state(cfg: ScenarioConfig) -> GroundStateResult1D:
     """Imaginary-time relaxation of the 1D trapped self-attracting packet."""
     _, phys, model, grid, _, _ = _plan_ground_state(cfg)
     k_total = model.k_ext + model.k_self
-    a_pred = _stationary_width(model, phys)
+    a_pred = soliton_width_param(model, phys)
     seed = gaussian_packet(grid, 0.0, 2.0 * a_pred, norm_sq=phys.norm_sq,
                            hbar=phys.hbar, mass=phys.mass)
-
-    v_ext = harmonic_external(grid, model.k_ext)
-
-    def potential(f: WaveField) -> np.ndarray:
-        return v_ext + self_harmonic(f, model)
-
-    def energy(f: WaveField, pot: np.ndarray) -> float:
-        # the stepper's mean-field rule: weight 1 on int V |psi|^2 dx
-        return (_kinetic_energy(f.values, grid, phys)
-                + float(np.sum(pot * np.abs(f.values) ** 2) * grid.dx))
-
-    result = imaginary_time_relax(seed, potential, phys.norm_sq,
-                                  tol=cfg.relax_tol, phys=phys,
-                                  energy_fn=energy)
+    result = imaginary_time_relax(seed, model, phys.norm_sq, tol=cfg.relax_tol,
+                                  phys=phys)
     m = moments(result.field, hbar=phys.hbar)
     a_meas = math.sqrt(2.0 * m.variance)
     width_dev = abs(a_meas / a_pred - 1.0)
@@ -756,11 +754,12 @@ def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
     phys = _resolve_phys(cfg)
     cfg = dataclasses.replace(
         cfg, sphere_mass=cfg.sphere_mass if cfg.sphere_mass is not None else 1.0,
-        sphere_radius=cfg.sphere_radius if cfg.sphere_radius is not None else 5.0)
+        sphere_radius=cfg.sphere_radius if cfg.sphere_radius is not None else 5.0,
+        init_width=cfg.init_width if cfg.init_width is not None else 1.0)
     model = _resolve_model(cfg, default_k_ext=1.0)
     if model.k_ext <= 0.0:
         raise ConfigError("ehrenfest needs k_ext > 0 for its trapped run")
-    return RunPlan(cfg, phys, model, _grid(cfg, 32.0),
+    return RunPlan(cfg, phys, model, _grid(cfg, 32.0, cfg.init_width),
                    _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check",
                           False), sphere_quadratic_kernel(phys, model))
 
@@ -773,15 +772,13 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     oscillator equation exactly.
     """
     cfg, phys, model, grid, spec, kernel = _plan_ehrenfest(cfg)
-    width = cfg.init_width if cfg.init_width is not None else 1.0
-
-    psi_free = gaussian_packet(grid, -2.0, width,
+    psi_free = gaussian_packet(grid, -2.0, cfg.init_width,
                                velocity=_grid_velocity(grid, phys, 1.0),
                                norm_sq=phys.norm_sq, hbar=phys.hbar,
                                mass=phys.mass)
     log_free, _ = evolve_kernel(psi_free, kernel, np.zeros(grid.n_points),
                                 spec, phys)
-    psi_trap = gaussian_packet(grid, 1.5, width, norm_sq=phys.norm_sq,
+    psi_trap = gaussian_packet(grid, 1.5, cfg.init_width, norm_sq=phys.norm_sq,
                                hbar=phys.hbar, mass=phys.mass)
     log_trap, _ = evolve_kernel(psi_trap, kernel,
                                 harmonic_external(grid, model.k_ext), spec, phys)

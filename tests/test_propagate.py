@@ -356,36 +356,40 @@ class TestFusedStepper:
         assert len(calls) == spec.n_steps + 1
 
 
+TRAP = HarmonicModelParams(k_ext=1.0, k_self=0.0)
+
+
 class TestImaginaryTime:
     def test_harmonic_ground_state(self):
-        v_ext = harmonic_external(GRID, 1.0)
         seed = gaussian_packet(GRID, 0.3, 1.7)
-        result = imaginary_time_relax(seed, lambda f: v_ext, 1.0,
-                                      tol=1e-12, phys=PHYS)
+        result = imaginary_time_relax(seed, TRAP, 1.0, tol=1e-12, phys=PHYS)
         assert result.eigenvalue == pytest.approx(0.5, abs=1e-6)
         m = moments(result.field)
         assert np.sqrt(2.0 * m.variance) == pytest.approx(1.0, abs=1e-4)
 
     def test_self_trapped_ground_state(self):
         k = 10.0
-        x = GRID.nodes
-
-        def builder(f):
-            rho = np.abs(f.values) ** 2
-            xbar = float((rho * x).sum() / rho.sum())
-            return 0.5 * k * (x - xbar) ** 2
-
         seed = gaussian_packet(GRID, 0.0, 1.5)
-        result = imaginary_time_relax(seed, builder, 1.0, tol=1e-12, phys=PHYS)
+        result = imaginary_time_relax(seed, HarmonicModelParams(0.0, k), 1.0,
+                                      tol=1e-12, phys=PHYS)
         a_pred = (PHYS.hbar**2 / (k * PHYS.mass)) ** 0.25
         m = moments(result.field)
         assert np.sqrt(2.0 * m.variance) == pytest.approx(a_pred, rel=1e-4)
 
+    @pytest.mark.parametrize("model", [HarmonicModelParams(0.0, 10.0), TRAP],
+                             ids=["self-trap", "static-trap"])
+    def test_energy_is_the_logged_energy(self, model):
+        # one energy rule: the relaxation's energy is the t = 0 energy
+        # the Strang stepper logs for the relaxed field
+        seed = gaussian_packet(GRID, 0.4, 1.5)
+        result = imaginary_time_relax(seed, model, 1.3, tol=1e-10, phys=PHYS)
+        spec = EvolutionSpec(dt=1e-3, t_end=1e-3)
+        log, _ = evolve_self_harmonic(result.field, model, spec, PHYS)
+        assert result.energy == log.energy[0]
+
     def test_energy_monotone(self):
-        v_ext = harmonic_external(GRID, 1.0)
         seed = gaussian_packet(GRID, 1.0, 2.5)
-        result = imaginary_time_relax(seed, lambda f: v_ext, 1.0,
-                                      tol=1e-10, phys=PHYS)
+        result = imaginary_time_relax(seed, TRAP, 1.0, tol=1e-10, phys=PHYS)
         history = np.asarray(result.history)
         assert np.all(np.diff(history) <= 1e-14 * np.abs(history[:-1]) + 1e-30)
 
@@ -398,11 +402,10 @@ class TestImaginaryTime:
         assert all(c.passed for c in result.checks())
 
     def test_non_convergence_raises(self):
-        v_ext = harmonic_external(GRID, 1.0)
         seed = gaussian_packet(GRID, 0.0, 2.0)
         with pytest.raises(ConvergenceError) as err:
-            imaginary_time_relax(seed, lambda f: v_ext, 1.0, tol=1e-30,
-                                 phys=PHYS, max_iters=5)
+            imaginary_time_relax(seed, TRAP, 1.0, tol=1e-30, phys=PHYS,
+                                 max_iters=5)
         assert len(err.value.history) > 0
 
 
