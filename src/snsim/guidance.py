@@ -38,7 +38,7 @@ from .fields import (
     spectral_gradient,
 )
 from .potentials import PhysParams
-from .textio import float_row, write_table
+from .textio import write_table
 
 logger = logging.getLogger(__name__)
 
@@ -293,4 +293,4 @@ def write_guidance_csv(rows: Sequence[VelocityDecomposition], path):
          r.norm_rate_residual, r.width, r.valid_fraction)
         for r in rows
     )))
-    write_table(path, CSV_COLUMNS, float_row(len(columns), ","), columns)
+    write_table(path, CSV_COLUMNS, columns)

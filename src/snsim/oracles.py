@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigError
 from .fields import Grid1D, WaveField
 from .potentials import HarmonicModelParams, PhysParams
-from .textio import float_row, write_table
+from .textio import write_table
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,5 @@ def classical_trajectory(
 def write_series_csv(path, header: str, columns) -> None:
     """Comma CSV with 17 significant digits, same conventions as the
     guidance table, so oracle series plot side by side with it."""
-    arrays = [np.asarray(c) for c in columns]
-    write_table(path, header, float_row(len(arrays), ","), arrays)
+    write_table(path, header, columns)
 

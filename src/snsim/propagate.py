@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional
@@ -43,7 +44,7 @@ from .potentials import (
     harmonic_external,
     sphere_validity_ratio,
 )
-from .textio import write_table
+from .textio import format_cells, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -484,18 +485,25 @@ def write_snapshots(log: TrajectoryLog, out_dir) -> List[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     remove_snapshots(out)
-    row = "%s %.17g %.17g\n"
     paths = []
     grid = x_cells = None
+    size = fallbacks = 0
+    start = time.perf_counter()
     for i, (t, fld) in enumerate(zip(log.times, log.fields)):
         # the frames of a run share one grid: format its nodes once
         if fld.grid != grid:
             grid = fld.grid
-            x_cells = ["%.17g" % xi for xi in grid.nodes.tolist()]
+            x_cells, n = format_cells(grid.nodes)
+            fallbacks += n
         path = out / f"snap_{i:05d}.dat"
-        write_table(path, f"# t={t:.17g}", row,
-                    (x_cells, fld.values.real, fld.values.imag))
+        n_bytes, n = write_table(path, f"# t={t:.17g}",
+                                 (x_cells, fld.values.real, fld.values.imag), " ")
+        size += n_bytes
+        fallbacks += n
         paths.append(path)
+    logger.info("wrote %d snapshots to %s: %d bytes in %.3fs, %d values "
+                "formatted one by one", len(paths), out, size,
+                time.perf_counter() - start, fallbacks)
     return paths
 
 

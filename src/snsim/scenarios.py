@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import shutil
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -332,8 +333,10 @@ def _resolve_model(cfg: ScenarioConfig, default_k_ext, default_ratio=None,
 
 
 def soliton_width_param(model: HarmonicModelParams, phys: PhysParams) -> float:
-    """Stationary Gaussian width (hbar^2 / ((k_ext + k_self) m))^(1/4) in the traps."""
-    return (phys.hbar**2 / ((model.k_ext + model.k_self) * phys.mass)) ** 0.25
+    """Stationary Gaussian width (hbar^2 / ((k_ext + k_self) m))^(1/4) in the
+    traps; infinite when the product underflows to 0."""
+    stiffness_mass = (model.k_ext + model.k_self) * phys.mass
+    return (phys.hbar**2 / stiffness_mass) ** 0.25 if stiffness_mass else math.inf
 
 
 def _grid(cfg: ScenarioConfig, half: float, width: float) -> Grid1D:
@@ -451,7 +454,19 @@ def _figure1_physics(cfg: ScenarioConfig):
     model = _resolve_model(cfg, default_k_ext=1.0, default_ratio=1000.0)
     if model.k_ext <= 0:
         raise ConfigError("figure1 needs k_ext > 0")
-    return phys, model, math.sqrt((model.k_ext + model.k_self) / phys.mass)
+    omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
+    _require_normal(k_ext=model.k_ext, omega_fast=omega_fast)
+    return phys, model, omega_fast
+
+
+def _require_normal(**scales) -> None:
+    """Refuse figure1 scales that are subnormal or infinite: the window
+    t_end = 4 pi / omega_fast, the widths and the mean-motion residual
+    divide by them, or overflow."""
+    bad = [f"{name} = {value!r}" for name, value in scales.items()
+           if not sys.float_info.min <= value < math.inf]
+    if bad:
+        raise ConfigError("figure1 needs normal, finite scales: " + ", ".join(bad))
 
 
 def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
@@ -461,6 +476,8 @@ def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
         cfg, init_center=cfg.init_center if cfg.init_center is not None else 1.0,
         init_width=(cfg.init_width if cfg.init_width is not None
                     else soliton_width_param(model, phys)))
+    _require_normal(t_end=cfg.t_end, pilot_width=cfg.pilot_width,
+                    init_width=cfg.init_width)
     grid = _grid(cfg, math.ceil(9.0 * math.sqrt(0.5 * cfg.pilot_width**2)
                                 + 4.0 * (abs(cfg.init_center) + 1.0)),
                  min(cfg.init_width, cfg.pilot_width))

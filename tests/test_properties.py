@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from snsim.errors import ConfigError, SimulationError
@@ -82,8 +82,19 @@ def test_render_parse_round_trip(cfg):
     assert parse_config(render_config(cfg)) == cfg
 
 
+# figure1 with a subnormal k_ext, found with derandomize=False and
+# --hypothesis-seed=7: each broke the validation or the run
+SUBNORMAL_K_EXT = dict(scenario="figure1", k_ext=5e-324, radial_points=32)
+
+
 @settings(PROPERTY, max_examples=300)
 @given(configs())
+@example(ScenarioConfig(**SUBNORMAL_K_EXT, k_self=1.0, n_points=64, x_max=4.0,
+                        pilot_width=2.0))
+@example(ScenarioConfig(**SUBNORMAL_K_EXT, k_self=0.0, n_points=64, x_max=4.0,
+                        pilot_width=2.0))
+@example(ScenarioConfig(**SUBNORMAL_K_EXT, k_self=0.0, n_points=1, mass=2.0))
+@example(ScenarioConfig(**SUBNORMAL_K_EXT, n_points=1))
 def test_valid_config_runs_or_raises_simulation_error(cfg):
     assume(not validate_config(cfg))
     with tempfile.TemporaryDirectory() as out:

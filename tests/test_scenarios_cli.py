@@ -30,6 +30,25 @@ PLAN_RULES = {
                         "leaves 1 output times in 400 steps"),
     "figure1-k_ext": ({"n_points": 1024}, "k_ext", 0.0,
                       "figure1 needs k_ext > 0"),
+    # a subnormal k_ext: omega_fast underflowed to 0 and t_end = 4 pi / 0
+    # raised ZeroDivisionError
+    "figure1-subnormal-k_ext-mass-2": ({"k_self": 0.0, "mass": 2.0}, "k_ext",
+                                       5e-324, "k_ext = 5e-324, omega_fast = 0.0"),
+    # the stationary width overflowed: OverflowError from the grid's ceil
+    "figure1-subnormal-k_ext-one-node": ({"k_self": 0.0, "n_points": 1}, "k_ext",
+                                         5e-324, "needs normal, finite scales: k_ext"),
+    # ran, dividing the mean-motion residual by max|k_ext <x>| ~ 0
+    "figure1-subnormal-k_ext-self-trap": (
+        {"k_self": 1.0, "n_points": 64, "x_max": 4.0, "pilot_width": 2.0},
+        "k_ext", 5e-324, "needs normal, finite scales: k_ext"),
+    # ran to t ~ 1e162, where the moment-flow oracle overflowed
+    "figure1-subnormal-k_ext-given-pilot": (
+        {"k_self": 0.0, "pilot_width": 2.0}, "k_ext", 5e-324,
+        "needs normal, finite scales: k_ext"),
+    # (k_ext + k_self) * mass underflowed to 0: ZeroDivisionError in the
+    # stationary width
+    "figure1-width-underflow": ({"k_ext": 1e-300, "k_self": 1e-20}, "mass",
+                                1e-305, "init_width = inf"),
     "lone-x_min": ({"n_points": 1024}, "x_min", 50.0,
                    "x_min must be below x_max"),
     "dt-bound": ({"n_points": 1024}, "dt", 0.1, "exceeds the accuracy bound"),
@@ -673,6 +692,19 @@ class TestCli:
         code = main(["run", "boost", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")])
         assert code == 0
+
+    def test_run_refuses_subnormal_k_ext(self, tmp_path, capsys):
+        # omega_fast underflowed to 0: a ZeroDivisionError traceback
+        cfg_path = tmp_path / "fig.cfg"
+        cfg_path.write_text("scenario = figure1\nk_ext = 5e-324\nk_self = 0\n"
+                            "mass = 2\n")
+        code = main(["run", "figure1", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "figure1 needs normal, finite scales" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_check_exit_codes(self, monkeypatch, capsys):
         from snsim.scenarios import CheckResult
