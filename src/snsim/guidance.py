@@ -15,9 +15,14 @@ amplitude at the barycentre satisfy the reciprocity
     d<phi|phi>/dt ~ (hbar/m) lap(arg psi_l)(x0) <phi|phi>
                     - 2 (grad A_L / A_L)(x0) * <phi|(hbar/i m) d/dx|phi>.
 
-All analysis runs on output-time snapshots, one frame at a time, so it is
-independent of the integrator's internal stepping; v_drift and the norm
-rate, the only time derivatives, are differenced from scalar series.
+All analysis runs on output-time snapshots, so it is independent of the
+integrator's internal stepping.  It has two steps: :func:`frame_sample`
+reduces one output pair (pilot, full wave) to a :class:`FrameSample` of
+scalars, and :func:`decompose_samples` differences a run's samples into
+v_drift and the norm rate, the only time derivatives.  A caller that
+makes the pairs one at a time (figure1 advances its two runs in lock
+step) samples each as it is made and keeps no frame;
+:func:`decompose_run` does both steps over series of stored frames.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,34 +196,39 @@ def _norm_rate_rhs(pa: PhaseAmplitude, grid, state: SolitonState,
     )
 
 
-def decompose_run(
-    times: Iterable[float],
-    pilot_fields: Iterable[WaveField],
-    full_fields: Iterable[WaveField],
-    phys: PhysParams = PhysParams(),
-) -> List[VelocityDecomposition]:
-    """Full guidance analysis over one run's snapshot series.
+class FrameSample(NamedTuple):
+    """The per-frame scalars of the guidance analysis at one output time."""
 
-    One pass over any iterables of frames keeps one frame's arrays alive
-    at a time; v_drift and the norm rate are differenced afterwards from
-    the per-frame scalars.  Returns one row per output time.
-    """
-    missing = object()
-    samples = []
-    for t, psi_l, psi_nl in zip_longest(times, pilot_fields, full_fields,
-                                        fillvalue=missing):
-        if any(v is missing for v in (t, psi_l, psi_nl)):
-            raise ExtractionError("times and snapshot series differ in length")
-        state = extract_soliton(psi_nl, psi_l)
-        pa = phase_amplitude(psi_l)
-        grid = psi_l.grid
-        vint = v_int(state, phys)
-        grad = _interp_valid(grid, pa.phase_gradient, pa.valid, state.x0)
-        samples.append((t, state.x0, state.norm_sq, vint,
-                        phys.hbar / phys.mass * grad,
-                        _interp_valid(grid, pa.amplitude, pa.valid, state.x0),
-                        _norm_rate_rhs(pa, grid, state, vint, phys),
-                        state.width, state.valid_fraction))
+    t: float
+    x0: float
+    norm_sq_phi: float
+    v_int: float
+    v_dbb: float
+    a_l_at_x0: float
+    norm_rate_rhs: float
+    width: float
+    valid_fraction: float
+
+
+def frame_sample(t: float, psi_l: WaveField, psi_nl: WaveField,
+                 phys: PhysParams = PhysParams()) -> FrameSample:
+    """Extract the soliton of one output pair and evaluate, at its
+    barycentre, everything the rows need but the time derivatives."""
+    state = extract_soliton(psi_nl, psi_l)
+    pa = phase_amplitude(psi_l)
+    grid = psi_l.grid
+    vint = v_int(state, phys)
+    grad = _interp_valid(grid, pa.phase_gradient, pa.valid, state.x0)
+    return FrameSample(t, state.x0, state.norm_sq, vint,
+                       phys.hbar / phys.mass * grad,
+                       _interp_valid(grid, pa.amplitude, pa.valid, state.x0),
+                       _norm_rate_rhs(pa, grid, state, vint, phys),
+                       state.width, state.valid_fraction)
+
+
+def decompose_samples(samples: Sequence[FrameSample]) -> List[VelocityDecomposition]:
+    """One row per output time from a run's frame samples, in time order:
+    v_drift and the norm rate are differenced from the sampled series."""
     (times, x0s, norms, vints, vdbbs, a_l_at_x0, rhs, widths,
      fractions) = np.array(samples, dtype=float).reshape(len(samples), 9).T
     a_l_sq = a_l_at_x0**2
@@ -252,6 +262,28 @@ def decompose_run(
     ]
     _report_stability(rows)
     return rows
+
+
+def decompose_run(
+    times: Iterable[float],
+    pilot_fields: Iterable[WaveField],
+    full_fields: Iterable[WaveField],
+    phys: PhysParams = PhysParams(),
+) -> List[VelocityDecomposition]:
+    """Full guidance analysis over one run's snapshot series.
+
+    One pass over any iterables of frames samples each frame as it comes,
+    keeping one frame's arrays alive at a time, then differences the
+    samples.  Returns one row per output time.
+    """
+    missing = object()
+    samples = []
+    for t, psi_l, psi_nl in zip_longest(times, pilot_fields, full_fields,
+                                        fillvalue=missing):
+        if any(v is missing for v in (t, psi_l, psi_nl)):
+            raise ExtractionError("times and snapshot series differ in length")
+        samples.append(frame_sample(t, psi_l, psi_nl, phys))
+    return decompose_samples(samples)
 
 
 def _report_stability(rows: List[VelocityDecomposition]):

@@ -12,6 +12,15 @@ are fused into one exp(-i V dt / hbar); at an output the same value
 feeds the logged energy.  Imaginary-time relaxation of the trap model
 builds the same family and monitors the same energy.
 
+The loop is a stream: a :class:`StrangRun` yields each output frame as
+it is logged.  :func:`run_lockstep` advances several runs together and
+hands each set of frames to an observer, which can analyse or write a
+frame without anything keeping it; ``evolve_linear``,
+``evolve_self_harmonic`` and ``evolve_kernel`` drain one run and return
+its log, which keeps every frame when the spec's ``store_fields`` is
+set.  :class:`SnapshotWriter` writes frames one at a time, and
+:func:`write_snapshots` writes a log's kept frames with it.
+
 A propagation run owns its working array exclusively; the returned log
 is append-only during the run and should be treated as immutable after.
 """
@@ -23,7 +32,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -227,74 +236,153 @@ def _check_dt_accuracy(spec: EvolutionSpec, omega_fast: float):
         )
 
 
-def _evolve(
-    psi0: WaveField,
-    family: _Family,
-    spec: EvolutionSpec,
-    phys: PhysParams,
-) -> tuple[TrajectoryLog, WaveField]:
-    """Strang evolution with one potential evaluation per step."""
-    grid = psi0.grid
-    if family.v_ext.shape != (grid.n_points,):
-        raise ConfigError("v_ext shape does not match the grid")
-    if squared_norm(psi0) <= 0.0:
-        raise DegenerateInputError("cannot evolve a zero-norm field")
-    dt = spec.dt
-    k = grid.wavenumbers
-    kin_phase = np.exp(-1j * phys.hbar * k * k * dt / (2.0 * phys.mass))
-    half_factor = -1j * dt / (2.0 * phys.hbar)
-    static = family.self_potential is None
-    if static:
-        # a fixed potential needs its two phase factors only once
-        half_ext = np.exp(half_factor * family.v_ext)
-        static_phase = {1: half_ext, 2: half_ext * half_ext}
+class StrangRun:
+    """One Strang run as a stream of output frames.
 
-    def evaluate(vals, step):
+    Iterating steps the run and yields ``(t, values)`` right after each
+    output time is logged in ``log``.  ``values`` is the run's working
+    array: it stays valid only until the next frame is pulled, so a
+    consumer that keeps a frame copies it.  Once the stream is exhausted,
+    ``final`` holds the field at t_end.  A run can be iterated once.
+    """
+
+    def __init__(self, psi0: WaveField, family: _Family, spec: EvolutionSpec,
+                 phys: PhysParams):
+        if family.v_ext.shape != (psi0.grid.n_points,):
+            raise ConfigError("v_ext shape does not match the grid")
+        if squared_norm(psi0) <= 0.0:
+            raise DegenerateInputError("cannot evolve a zero-norm field")
+        self._rec = _Recorder(psi0, spec, phys, family)
+        self.log = self._rec.log
+        self.final: Optional[WaveField] = None
+        self._frames = self._step(psi0, family, spec, phys)
+
+    @classmethod
+    def linear(cls, psi0: WaveField, v_ext: np.ndarray, spec: EvolutionSpec,
+               phys: PhysParams = PhysParams()) -> "StrangRun":
+        """Unitary evolution under a static external potential."""
+        return cls(psi0, _Family(np.asarray(v_ext, dtype=float)), spec, phys)
+
+    @classmethod
+    def self_harmonic(cls, psi0: WaveField, model: HarmonicModelParams,
+                      spec: EvolutionSpec,
+                      phys: PhysParams = PhysParams()) -> "StrangRun":
+        """Evolution under the trap plus the mean-field self-trap.
+
+        The potential is k_ext x^2/2 + k_self (x - <x>)^2/2 with <x> updated
+        self-consistently.  The conserved energy logged per output time is
+        <T> + <V_ext> + (k_self/2) N^2 Var, whose density derivative is
+        exactly the self potential.
+        """
+        ratio = sphere_validity_ratio(psi0, model)
+        if ratio is not None and ratio > 0.2:
+            logger.warning(
+                "packet rms width is %.3g of the sphere radius; the quadratic "
+                "sphere expansion is inaccurate", ratio
+            )
+        omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
+        if omega_fast > 0:
+            _check_dt_accuracy(spec, omega_fast)
+        return cls(psi0, _self_trap_family(psi0.grid, model), spec, phys)
+
+    @classmethod
+    def kernel(cls, psi0: WaveField, kernel: ConvolutionKernel,
+               v_ext: np.ndarray, spec: EvolutionSpec,
+               phys: PhysParams = PhysParams()) -> "StrangRun":
+        """Evolution under V_ext plus the convolution self-potential."""
+        grid = psi0.grid
+
+        def self_potential(vals):
+            return convolution_self_potential(WaveField(grid, vals), kernel)
+
+        family = _Family(np.asarray(v_ext, dtype=float), self_potential, 0.5)
+        return cls(psi0, family, spec, phys)
+
+    def __iter__(self) -> Iterator[tuple[float, np.ndarray]]:
+        return self._frames
+
+    def drain(self) -> tuple[TrajectoryLog, WaveField]:
+        """Step to the end; the log and the final field."""
+        for _ in self._frames:
+            pass
+        return self.log, self.final
+
+    def _step(self, psi0, family, spec, phys):
+        """Strang evolution with one potential evaluation per step."""
+        grid = psi0.grid
+        dt = spec.dt
+        k = grid.wavenumbers
+        kin_phase = np.exp(-1j * phys.hbar * k * k * dt / (2.0 * phys.mass))
+        half_factor = -1j * dt / (2.0 * phys.hbar)
+        static = family.self_potential is None
         if static:
-            return None
-        try:
-            return family.self_potential(vals)
-        except ConfigError:
-            # a self potential may refuse non-finite values (the kernel
-            # family's WaveField does); report that as a blow-up at t
-            if np.isfinite(vals).all():
-                raise
-            raise NonFiniteFieldError(step * dt) from None
+            # a fixed potential needs its two phase factors only once
+            half_ext = np.exp(half_factor * family.v_ext)
+            static_phase = {1: half_ext, 2: half_ext * half_ext}
 
-    def phase(v_self, halves):
-        if static:
-            return static_phase[halves]
-        return np.exp(halves * half_factor * (family.v_ext + v_self))
+        def evaluate(vals, step):
+            if static:
+                return None
+            try:
+                return family.self_potential(vals)
+            except ConfigError:
+                # a self potential may refuse non-finite values (the kernel
+                # family's WaveField does); report that as a blow-up at t
+                if np.isfinite(vals).all():
+                    raise
+                raise NonFiniteFieldError(step * dt) from None
 
-    rec = _Recorder(psi0, spec, phys, family)
-    vals = psi0.values.copy()
-    v_self = evaluate(vals, 0)
-    rec.record(0.0, vals, v_self)
-    vals *= phase(v_self, 1)
-    n_steps, stride = spec.n_steps, spec.output_stride
-    for step in range(1, n_steps + 1):
-        ft = np.fft.fft(vals)
-        ft *= kin_phase
-        vals = np.fft.ifft(ft)
-        # two edge values screen every step; a trip is confirmed in full
-        edge = rec.edge_screen
-        if abs(vals[0]) > edge or abs(vals[-1]) > edge:
-            rec.check_boundary(step * dt, _density(vals))
-        # |psi| is the same on both sides of the potential step, so this
-        # value closes this step and opens the next
-        v_self = evaluate(vals, step)
-        if step % stride and step < n_steps:
-            vals *= phase(v_self, 2)
-            continue
-        half_phase = phase(v_self, 1)
-        vals *= half_phase
-        if step % stride == 0:
-            rec.record(step * dt, vals, v_self)
-        if step < n_steps:
+        def phase(v_self, halves):
+            if static:
+                return static_phase[halves]
+            return np.exp(halves * half_factor * (family.v_ext + v_self))
+
+        rec = self._rec
+        vals = psi0.values.copy()
+        v_self = evaluate(vals, 0)
+        rec.record(0.0, vals, v_self)
+        yield 0.0, vals
+        vals *= phase(v_self, 1)
+        n_steps, stride = spec.n_steps, spec.output_stride
+        for step in range(1, n_steps + 1):
+            ft = np.fft.fft(vals)
+            ft *= kin_phase
+            vals = np.fft.ifft(ft)
+            # two edge values screen every step; a trip is confirmed in full
+            edge = rec.edge_screen
+            if abs(vals[0]) > edge or abs(vals[-1]) > edge:
+                rec.check_boundary(step * dt, _density(vals))
+            # |psi| is the same on both sides of the potential step, so this
+            # value closes this step and opens the next
+            v_self = evaluate(vals, step)
+            if step % stride and step < n_steps:
+                vals *= phase(v_self, 2)
+                continue
+            half_phase = phase(v_self, 1)
             vals *= half_phase
-    if n_steps % stride and not np.isfinite(vals).all():
-        raise NonFiniteFieldError(n_steps * dt)
-    return rec.log, WaveField(grid, vals)
+            if step % stride == 0:
+                rec.record(step * dt, vals, v_self)
+                yield step * dt, vals
+            if step < n_steps:
+                vals *= half_phase
+        if n_steps % stride and not np.isfinite(vals).all():
+            raise NonFiniteFieldError(n_steps * dt)
+        self.final = WaveField(grid, vals)
+
+
+def run_lockstep(runs: Sequence[StrangRun],
+                 observe: Callable[..., None]) -> None:
+    """Advance ``runs`` together, one output frame at a time.
+
+    At each output time t, ``observe(t, values_0, values_1, ...)`` sees
+    the values of every run, valid only during the call; then each run
+    steps on to its next output.  The runs must share their output
+    times.  So a caller holds one frame per run however long the runs
+    are, and every run has its final field when this returns.
+    """
+    # strict: once the first run ends, the others are pulled to their end
+    for frames in zip(*runs, strict=True):
+        observe(frames[0][0], *(values for _, values in frames))
 
 
 def evolve_linear(
@@ -304,7 +392,7 @@ def evolve_linear(
     phys: PhysParams = PhysParams(),
 ) -> tuple[TrajectoryLog, WaveField]:
     """Unitary Strang evolution under a static external potential."""
-    return _evolve(psi0, _Family(np.asarray(v_ext, dtype=float)), spec, phys)
+    return StrangRun.linear(psi0, v_ext, spec, phys).drain()
 
 
 def evolve_self_harmonic(
@@ -313,23 +401,9 @@ def evolve_self_harmonic(
     spec: EvolutionSpec,
     phys: PhysParams = PhysParams(),
 ) -> tuple[TrajectoryLog, WaveField]:
-    """Evolve under the trap plus the mean-field self-trap.
-
-    The potential is k_ext x^2/2 + k_self (x - <x>)^2/2 with <x> updated
-    self-consistently.  The conserved energy logged per output time is
-    <T> + <V_ext> + (k_self/2) N^2 Var, whose density derivative is
-    exactly the self potential.
-    """
-    ratio = sphere_validity_ratio(psi0, model)
-    if ratio is not None and ratio > 0.2:
-        logger.warning(
-            "packet rms width is %.3g of the sphere radius; the quadratic "
-            "sphere expansion is inaccurate", ratio
-        )
-    omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
-    if omega_fast > 0:
-        _check_dt_accuracy(spec, omega_fast)
-    return _evolve(psi0, _self_trap_family(psi0.grid, model), spec, phys)
+    """Evolve under the trap plus the mean-field self-trap
+    (see :meth:`StrangRun.self_harmonic`)."""
+    return StrangRun.self_harmonic(psi0, model, spec, phys).drain()
 
 
 def evolve_kernel(
@@ -340,13 +414,7 @@ def evolve_kernel(
     phys: PhysParams = PhysParams(),
 ) -> tuple[TrajectoryLog, WaveField]:
     """Evolve under V_ext plus the convolution self-potential."""
-    grid = psi0.grid
-
-    def self_potential(vals):
-        return convolution_self_potential(WaveField(grid, vals), kernel)
-
-    family = _Family(np.asarray(v_ext, dtype=float), self_potential, 0.5)
-    return _evolve(psi0, family, spec, phys)
+    return StrangRun.kernel(psi0, kernel, v_ext, spec, phys).drain()
 
 
 @dataclass
@@ -406,9 +474,12 @@ def imaginary_time_relax(
     iters = 0
     level_energy = None
     converged = False
+    kin_dtau = None
     while iters < max_iters:
         iters += 1
-        kin_decay = np.exp(-phys.hbar * k * k * dtau / (2.0 * phys.mass))
+        if dtau != kin_dtau:  # dtau changes only when it is halved
+            kin_dtau = dtau
+            kin_decay = np.exp(-phys.hbar * k * k * dtau / (2.0 * phys.mass))
         half_decay = np.exp(-pot * dtau / (2.0 * phys.hbar))
         trial = vals * half_decay
         trial = np.fft.ifft(np.fft.fft(trial) * kin_decay)
@@ -472,39 +543,57 @@ def remove_snapshots(out_dir) -> None:
         stale.unlink()
 
 
-def write_snapshots(log: TrajectoryLog, out_dir) -> List[Path]:
-    """Dump stored snapshots as text files snap_<index>.dat.
+class SnapshotWriter:
+    """Writes a run's frames, in order, as files snap_<index>.dat.
 
     Each file starts with a ``# t=<value>`` header followed by one
     ``x re im`` line per node, all at 17 significant digits, with LF
-    line endings.  Any ``snap_*.dat`` already in ``out_dir`` is removed
-    first, so a rerun with fewer frames leaves no stale files.
+    line endings.  The writer makes ``out_dir`` and first removes any
+    ``snap_*.dat`` already in it, so a rerun with fewer frames leaves no
+    stale files.
     """
+
+    def __init__(self, out_dir):
+        self.out = Path(out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        remove_snapshots(self.out)
+        self.paths: List[Path] = []
+        self._grid = self._x_cells = None
+        self._bytes = self._fallbacks = 0
+        self._seconds = 0.0
+
+    def write(self, t: float, fld: WaveField) -> None:
+        """Write ``fld``, the frame at time ``t``, as the next file."""
+        start = time.perf_counter()
+        # the frames of a run share one grid: format its nodes once
+        if fld.grid != self._grid:
+            self._grid = fld.grid
+            self._x_cells, n = format_cells(fld.grid.nodes)
+            self._fallbacks += n
+        path = self.out / f"snap_{len(self.paths):05d}.dat"
+        n_bytes, n = write_table(path, f"# t={t:.17g}",
+                                 (self._x_cells, fld.values.real, fld.values.imag),
+                                 " ")
+        self._bytes += n_bytes
+        self._fallbacks += n
+        self.paths.append(path)
+        self._seconds += time.perf_counter() - start
+
+    def log_summary(self, where) -> None:
+        logger.info("wrote %d snapshots to %s: %d bytes in %.3fs, %d values "
+                    "formatted one by one", len(self.paths), where, self._bytes,
+                    self._seconds, self._fallbacks)
+
+
+def write_snapshots(log: TrajectoryLog, out_dir) -> List[Path]:
+    """Dump a log's stored frames with a :class:`SnapshotWriter`."""
     if log.fields is None:
         raise ConfigError("run was made with store_fields=False")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    remove_snapshots(out)
-    paths = []
-    grid = x_cells = None
-    size = fallbacks = 0
-    start = time.perf_counter()
-    for i, (t, fld) in enumerate(zip(log.times, log.fields)):
-        # the frames of a run share one grid: format its nodes once
-        if fld.grid != grid:
-            grid = fld.grid
-            x_cells, n = format_cells(grid.nodes)
-            fallbacks += n
-        path = out / f"snap_{i:05d}.dat"
-        n_bytes, n = write_table(path, f"# t={t:.17g}",
-                                 (x_cells, fld.values.real, fld.values.imag), " ")
-        size += n_bytes
-        fallbacks += n
-        paths.append(path)
-    logger.info("wrote %d snapshots to %s: %d bytes in %.3fs, %d values "
-                "formatted one by one", len(paths), out, size,
-                time.perf_counter() - start, fallbacks)
-    return paths
+    writer = SnapshotWriter(out_dir)
+    for t, fld in zip(log.times, log.fields):
+        writer.write(t, fld)
+    writer.log_summary(writer.out)
+    return writer.paths
 
 
 def read_snapshot(path) -> tuple[float, np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +40,8 @@ from .choquard import (
 from .errors import BoundaryLeakError, ConfigError, SimulationError
 from .fields import Grid1D, WaveField, gaussian_packet, moments, normalized
 from .guidance import (
-    decompose_run,
+    decompose_samples,
+    frame_sample,
     guidance_law_report,
     norm_rate_report,
     reciprocity_report,
@@ -66,13 +68,13 @@ from .potentials import (
 from .propagate import (
     BOUNDARY_LEAK_THRESHOLD,
     EvolutionSpec,
+    SnapshotWriter,
+    StrangRun,
     _check_dt_accuracy,
     evolve_kernel,
-    evolve_linear,
-    evolve_self_harmonic,
     imaginary_time_relax,
     remove_snapshots,
-    write_snapshots,
+    run_lockstep,
 )
 
 logger = logging.getLogger(__name__)
@@ -355,13 +357,13 @@ def _grid(cfg: ScenarioConfig, half: float, width: float) -> Grid1D:
 
 
 def _steps(cfg: ScenarioConfig, t_end: float, dt: float, frames: Optional[int],
-           needed: int, check: str, store_fields: bool) -> EvolutionSpec:
+           needed: int, check: str) -> EvolutionSpec:
     """The fewest equal steps no longer than ``dt`` that end at ``t_end``.
 
     ``t_end`` and ``dt`` are defaults the config overrides.  The output
     stride is the config's; failing that, about ``frames`` outputs;
     failing that, every step.  A stride that leaves ``check`` fewer than
-    ``needed`` output times is refused.
+    ``needed`` output times is refused.  The spec keeps no frames.
     """
     t_end = cfg.t_end if cfg.t_end is not None else t_end
     dt = cfg.dt if cfg.dt is not None else dt
@@ -371,7 +373,7 @@ def _steps(cfg: ScenarioConfig, t_end: float, dt: float, frames: Optional[int],
     else:
         stride = max(1, n_steps // frames) if frames else 1
     spec = EvolutionSpec(dt=t_end / n_steps, t_end=t_end, output_stride=stride,
-                         store_fields=store_fields)
+                         store_fields=False)
     n_out = n_steps // stride + 1
     if n_out < needed:
         raise ConfigError(f"output_stride = {stride} leaves {n_out} output "
@@ -434,6 +436,7 @@ class Figure1Result:
     metrics: dict
     moment_flow: MomentSeries  # both oracles at the output times
     classical: np.ndarray
+    snapshots: List[Path] = field(default_factory=list)  # pilot's, then full's
 
     def checks(self) -> List[CheckResult]:
         m = self.metrics
@@ -459,6 +462,14 @@ def _figure1_physics(cfg: ScenarioConfig):
     return phys, model, omega_fast
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where the float power overflows (it raises)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _require_normal(**scales) -> None:
     """Refuse figure1 scales that are subnormal or infinite: the window
     t_end = 4 pi / omega_fast, the widths and the mean-motion residual
@@ -476,22 +487,75 @@ def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
         cfg, init_center=cfg.init_center if cfg.init_center is not None else 1.0,
         init_width=(cfg.init_width if cfg.init_width is not None
                     else soliton_width_param(model, phys)))
+    half = (9.0 * math.sqrt(0.5 * _square(cfg.pilot_width))
+            + 4.0 * (abs(cfg.init_center) + 1.0))
     _require_normal(t_end=cfg.t_end, pilot_width=cfg.pilot_width,
-                    init_width=cfg.init_width)
-    grid = _grid(cfg, math.ceil(9.0 * math.sqrt(0.5 * cfg.pilot_width**2)
-                                + 4.0 * (abs(cfg.init_center) + 1.0)),
-                 min(cfg.init_width, cfg.pilot_width))
+                    init_width=cfg.init_width, grid_half_width=half)
+    grid = _grid(cfg, math.ceil(half), min(cfg.init_width, cfg.pilot_width))
     # 200 steps per fast period keeps the width dynamics (the stiffest
     # observable) within the 1e-3 oracle-equivalence budget
     spec = _steps(cfg, cfg.t_end, 2.0 * math.pi / (200.0 * omega_fast), None,
-                  5, "the mean-motion check", True)
+                  5, "the mean-motion check")
     _check_dt_accuracy(spec, omega_fast)
     return RunPlan(cfg, phys, model, grid, spec)
 
 
-def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
-    """Run the oscillating-soliton configuration and analyze it."""
+class _SnapshotStage:
+    """figure1's snapshot files, written one output pair at a time.
+
+    The files go to a hidden directory, made in the nearest existing
+    directory on the way to ``run_dir``, and move to ``run_dir/pilot``
+    and ``run_dir/full`` only in :meth:`commit`, where they replace the
+    snapshots an earlier run left.  Leaving the ``with`` block removes
+    the hidden directory, so a run that fails part way leaves
+    ``run_dir`` as it was.  With ``run_dir`` None nothing is written.
+    """
+
+    def __init__(self, run_dir):
+        self._stage = None
+        self.writers = []
+        if run_dir is not None:
+            self.run_dir = Path(run_dir)
+            base = next(p for p in (self.run_dir, *self.run_dir.parents)
+                        if p.is_dir())
+            self._stage = Path(tempfile.mkdtemp(prefix=".snapshots-", dir=base))
+            self.writers = [SnapshotWriter(self._stage / wave)
+                            for wave in ("pilot", "full")]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._stage is not None:
+            shutil.rmtree(self._stage, ignore_errors=True)
+
+    def write(self, t: float, *pair: WaveField) -> None:
+        for writer, fld in zip(self.writers, pair):
+            writer.write(t, fld)
+
+    def commit(self) -> List[Path]:
+        paths = []
+        for writer in self.writers:
+            dest = self.run_dir / writer.out.name
+            dest.mkdir(parents=True, exist_ok=True)
+            remove_snapshots(dest)
+            paths += [path.replace(dest / path.name) for path in writer.paths]
+            writer.log_summary(dest)
+        return paths
+
+
+def build_figure1(cfg: ScenarioConfig, out_dir=None) -> Figure1Result:
+    """Run the oscillating-soliton configuration and analyze it.
+
+    The pilot and the full run advance in lock step, and each output
+    pair is analysed as it is made.  Given its run directory
+    ``out_dir``, the runs keep no frames: with snapshots on, each pair
+    is written as it is made, and the files replace an earlier run's
+    once the whole run has succeeded.  Without one, both logs keep
+    every frame.
+    """
     cfg, phys, model, grid, spec, _ = _plan_figure1(cfg)
+    spec = dataclasses.replace(spec, store_fields=out_dir is None)
     pilot0 = gaussian_packet(grid, cfg.pilot_center, cfg.pilot_width, chirp=cfg.pilot_chirp,
                              norm_sq=1.0, hbar=phys.hbar, mass=phys.mass)
     soliton0 = gaussian_packet(grid, cfg.init_center, cfg.init_width, norm_sq=1.0,
@@ -500,56 +564,63 @@ def build_figure1(cfg: ScenarioConfig) -> Figure1Result:
                        phys.norm_sq, f"the pilot at {cfg.pilot_center:g} times "
                        f"the soliton at {cfg.init_center:g}")
 
-    v_ext = harmonic_external(grid, model.k_ext)
-    pilot_log, pilot_final = evolve_linear(pilot0, v_ext, spec, phys)
-    full_log, full_final = evolve_self_harmonic(full0, model, spec, phys)
+    pilot = StrangRun.linear(pilot0, harmonic_external(grid, model.k_ext), spec, phys)
+    full = StrangRun.self_harmonic(full0, model, spec, phys)
+    samples = []
+    with _SnapshotStage(out_dir if cfg.snapshots else None) as snapshots:
+        def observe(t, pilot_values, full_values):
+            pair = WaveField(grid, pilot_values), WaveField(grid, full_values)
+            samples.append(frame_sample(t, *pair, phys))
+            snapshots.write(t, *pair)
 
-    times = np.asarray(full_log.times)
-    rows = decompose_run(times, pilot_log.fields, full_log.fields, phys)
+        run_lockstep((pilot, full), observe)
+        rows = decompose_samples(samples)
+        pilot_log, full_log = pilot.log, full.log
+        times = np.asarray(full_log.times)
 
-    p1_max, _ = guidance_law_report(rows)
-    p2_max, _ = reciprocity_report(rows)
-    nr_max, _ = norm_rate_report(rows)
+        p1_max, _ = guidance_law_report(rows)
+        p2_max, _ = reciprocity_report(rows)
+        nr_max, _ = norm_rate_report(rows)
 
-    # both oracles are exact, so they are evaluated at the output times
-    m0 = moments(full0, hbar=phys.hbar)
-    init = GaussianMoments(m0.mean, m0.momentum, m0.variance,
-                           2.0 * m0.covariance / phys.mass)
-    stride_dt = times[1] - times[0]
-    flow = gaussian_moment_flow(init, model, phys, stride_dt, times[-1])
-    mean_g = np.asarray(full_log.mean_x)
-    var_g = np.asarray(full_log.mean_x2) - mean_g**2
-    oracle_mean_dev = float(np.max(np.abs(mean_g - flow.mean))
-                            / np.max(np.abs(flow.mean)))
-    oracle_var_dev = float(np.max(np.abs(var_g - flow.variance))
-                           / np.max(np.abs(flow.variance)))
+        # both oracles are exact, so they are evaluated at the output times
+        m0 = moments(full0, hbar=phys.hbar)
+        init = GaussianMoments(m0.mean, m0.momentum, m0.variance,
+                               2.0 * m0.covariance / phys.mass)
+        stride_dt = times[1] - times[0]
+        flow = gaussian_moment_flow(init, model, phys, stride_dt, times[-1])
+        mean_g = np.asarray(full_log.mean_x)
+        var_g = np.asarray(full_log.mean_x2) - mean_g**2
+        oracle_mean_dev = float(np.max(np.abs(mean_g - flow.mean))
+                                / np.max(np.abs(flow.mean)))
+        oracle_var_dev = float(np.max(np.abs(var_g - flow.variance))
+                               / np.max(np.abs(flow.variance)))
 
-    # classical reference for the soliton barycentre
-    x0s = np.array([r.x0 for r in rows])
-    _, xs_cl, _ = classical_trajectory(
-        ClassicalState(x0s[0], rows[0].v_drift), model.k_ext, stride_dt,
-        times[-1], mass=phys.mass,
-    )
-    amplitude = float(np.max(np.abs(x0s)))
-    classical_dev = float(np.max(np.abs(x0s - xs_cl)) / amplitude)
+        # classical reference for the soliton barycentre
+        x0s = np.array([r.x0 for r in rows])
+        _, xs_cl, _ = classical_trajectory(
+            ClassicalState(x0s[0], rows[0].v_drift), model.k_ext, stride_dt,
+            times[-1], mass=phys.mass,
+        )
+        amplitude = float(np.max(np.abs(x0s)))
+        classical_dev = float(np.max(np.abs(x0s - xs_cl)) / amplitude)
 
-    metrics = {
-        "residual_p1_rel": p1_max,
-        "p2_max_dev": p2_max,
-        "classical_dev": classical_dev,
-        # mean-motion law of the full wave
-        "ehrenfest_rel": _mean_motion_residual(mean_g, stride_dt, model.k_ext,
-                                               phys.mass),
-        "norm_rate_max": nr_max,
-        "oracle_mean_dev": oracle_mean_dev,
-        "oracle_var_dev": oracle_var_dev,
-        "norm_drift": _norm_drift(pilot_log, full_log),
-        "max_v_drift": float(np.max(np.abs([r.v_drift for r in rows]))),
-        "soliton_width0": rows[0].width,
-    }
-    return Figure1Result(cfg, phys, model, grid, spec, times, pilot_log,
-                         full_log, pilot_final, full_final, rows, metrics,
-                         flow, xs_cl)
+        metrics = {
+            "residual_p1_rel": p1_max,
+            "p2_max_dev": p2_max,
+            "classical_dev": classical_dev,
+            # mean-motion law of the full wave
+            "ehrenfest_rel": _mean_motion_residual(mean_g, stride_dt, model.k_ext,
+                                                   phys.mass),
+            "norm_rate_max": nr_max,
+            "oracle_mean_dev": oracle_mean_dev,
+            "oracle_var_dev": oracle_var_dev,
+            "norm_drift": _norm_drift(pilot_log, full_log),
+            "max_v_drift": float(np.max(np.abs([r.v_drift for r in rows]))),
+            "soliton_width0": rows[0].width,
+        }
+        return Figure1Result(cfg, phys, model, grid, spec, times, pilot_log,
+                             full_log, pilot.final, full.final, rows, metrics,
+                             flow, xs_cl, snapshots.commit())
 
 
 @dataclass
@@ -583,8 +654,7 @@ def _plan_boost(cfg: ScenarioConfig) -> RunPlan:
         raise ConfigError("boost scenario needs k_self > 0")
     omega = math.sqrt(model.k_self / phys.mass)
     period = 2.0 * math.pi / omega
-    spec = _steps(cfg, period, period / 2000.0, 50, 2, "the boost velocity",
-                  True)
+    spec = _steps(cfg, period, period / 2000.0, 50, 2, "the boost velocity")
     _check_dt_accuracy(spec, omega)
     grid = _grid(cfg, 16.0, soliton_width_param(model, phys))
     _boost_velocity(cfg, grid, phys)  # refuses one that snaps to 0
@@ -606,22 +676,26 @@ def build_boost(cfg: ScenarioConfig) -> BoostResult:
     edge = max(rho0[0], rho0[-1]) / rho0.max()
     if edge > BOUNDARY_LEAK_THRESHOLD:
         raise BoundaryLeakError(0.0, edge, BOUNDARY_LEAK_THRESHOLD)
-    log, final = evolve_self_harmonic(psi0, model, spec, phys)
-
-    times, mean_x, _, _, _ = log.as_arrays()
-    slope = (mean_x[-1] - mean_x[0]) / (times[-1] - times[0])
-    velocity_dev = abs(slope - velocity) / abs(velocity)
-
     # the exact solution is the rigidly translating ground-state envelope
     amp0 = math.sqrt(phys.norm_sq / (a * math.sqrt(math.pi)))
     deformation = 0.0
-    for t, fld in zip(times, log.fields):
+
+    def observe(t, values):
+        nonlocal deformation
         u = grid.nodes - (center + velocity * t)
         ref = amp0 * np.exp(-(u * u) / (2.0 * a * a))
         deformation = max(
             deformation,
-            float(np.max(np.abs(np.abs(fld.values) - ref)) / ref.max()),
+            float(np.max(np.abs(np.abs(values) - ref)) / ref.max()),
         )
+
+    run = StrangRun.self_harmonic(psi0, model, spec, phys)
+    run_lockstep((run,), observe)
+    log, final = run.log, run.final
+
+    times, mean_x, _, _, _ = log.as_arrays()
+    slope = (mean_x[-1] - mean_x[0]) / (times[-1] - times[0])
+    velocity_dev = abs(slope - velocity) / abs(velocity)
     metrics = {
         "deformation": deformation,
         "velocity_dev": velocity_dev,
@@ -777,8 +851,8 @@ def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
     if model.k_ext <= 0.0:
         raise ConfigError("ehrenfest needs k_ext > 0 for its trapped run")
     return RunPlan(cfg, phys, model, _grid(cfg, 32.0, cfg.init_width),
-                   _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check",
-                          False), sphere_quadratic_kernel(phys, model))
+                   _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check"),
+                   sphere_quadratic_kernel(phys, model))
 
 
 def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
@@ -810,18 +884,6 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     return EhrenfestResult(cfg, phys, metrics)
 
 
-def _snapshots(cfg: ScenarioConfig, *runs) -> List[Path]:
-    """Write each (log, directory) run's snapshots, or with snapshots off
-    remove an earlier run's, so a rerun leaves no stale frames."""
-    paths = []
-    for log, directory in runs:
-        if cfg.snapshots:
-            paths += write_snapshots(log, directory)
-        else:
-            remove_snapshots(directory)
-    return paths
-
-
 def _write_figure1(result: Figure1Result, out: Path) -> List[Path]:
     flow = result.moment_flow
     paths = [out / "guidance.csv", out / "oracle_moments.csv",
@@ -833,8 +895,11 @@ def _write_figure1(result: Figure1Result, out: Path) -> List[Path]:
                       flow.variance_rate))
     write_series_csv(paths[2], "t,x_classical",
                      (result.times, result.classical))
-    return paths + _snapshots(result.cfg, (result.pilot_log, out / "pilot"),
-                              (result.full_log, out / "full"))
+    if not result.cfg.snapshots:
+        # a rerun with snapshots off leaves no stale frames
+        for wave in ("pilot", "full"):
+            remove_snapshots(out / wave)
+    return paths + result.snapshots
 
 
 def _write_choquard(result: ChoquardScenarioResult, out: Path) -> List[Path]:
@@ -847,15 +912,17 @@ def _write_nothing(result, out: Path) -> List[Path]:
     return []
 
 
-# scenario -> (plan, builder, writer).  Builders are named, not bound,
-# and looked up in this module when a scenario runs, so rebinding one (a
-# test double, a tracing wrapper) takes effect.
+# scenario -> (plan, builder, writer, whether the builder takes the run
+# directory, to write frames into as it makes them).  Builders are named,
+# not bound, and looked up in this module when a scenario runs, so
+# rebinding one (a test double, a tracing wrapper) takes effect.
 _SCENARIO_TABLE = {
-    "figure1": (_plan_figure1, "build_figure1", _write_figure1),
-    "ground-state": (_plan_ground_state, "build_ground_state", _write_nothing),
-    "choquard": (_plan_choquard, "build_choquard", _write_choquard),
-    "ehrenfest": (_plan_ehrenfest, "build_ehrenfest", _write_nothing),
-    "boost": (_plan_boost, "build_boost", _write_nothing),
+    "figure1": (_plan_figure1, "build_figure1", _write_figure1, True),
+    "ground-state": (_plan_ground_state, "build_ground_state", _write_nothing,
+                     False),
+    "choquard": (_plan_choquard, "build_choquard", _write_choquard, False),
+    "ehrenfest": (_plan_ehrenfest, "build_ehrenfest", _write_nothing, False),
+    "boost": (_plan_boost, "build_boost", _write_nothing, False),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -880,9 +947,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunReport:
     if errors:
         raise ConfigError(errors)
     start = time.perf_counter()
-    _, builder, writer = _SCENARIO_TABLE[cfg.scenario]
-    result = globals()[builder](cfg)
-    # made only now, so a run that fails in its builder leaves no directory
+    _, builder, writer, takes_dir = _SCENARIO_TABLE[cfg.scenario]
+    build = globals()[builder]
+    # a builder that fails leaves the run directory as it was
+    result = build(cfg, out_dir) if takes_dir else build(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = [str(path) for path in writer(result, out)]
@@ -923,7 +991,7 @@ def resolve_sweep_window(cfg: ScenarioConfig) -> ScenarioConfig:
     a_phi = (cfg.init_width if cfg.init_width is not None
              else soliton_width_param(model, phys))
     derived = {"t_end": 2.0 * (2.0 * math.pi / omega_fast),
-               "pilot_width": math.sqrt(a_phi**2 / cfg.variance_ratio)}
+               "pilot_width": math.sqrt(_square(a_phi) / cfg.variance_ratio)}
     return dataclasses.replace(
         cfg, **{k: v for k, v in derived.items() if getattr(cfg, k) is None})
 

@@ -24,11 +24,13 @@ from snsim.potentials import (
 )
 from snsim.propagate import (
     EvolutionSpec,
+    StrangRun,
     evolve_kernel,
     evolve_linear,
     evolve_self_harmonic,
     imaginary_time_relax,
     read_snapshot,
+    run_lockstep,
     write_snapshots,
 )
 from snsim.scenarios import ScenarioConfig, build_ground_state
@@ -354,6 +356,32 @@ class TestFusedStepper:
         evolve_kernel(psi0, FUSION_KERNEL, harmonic_external(SMALL, 1.0), spec, PHYS)
         # one to open the run, then one per step; the energy reuses them
         assert len(calls) == spec.n_steps + 1
+
+
+class TestLockstep:
+    """Runs advanced together as streams give their drained results."""
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_frames_equal_log_fields(self, stride):
+        psi0 = gaussian_packet(SMALL, 0.7, 0.6, velocity=1.5)
+        # 40 steps: with stride 7 the runs end between two outputs
+        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
+        v_ext = harmonic_external(SMALL, FUSION_MODEL.k_ext)
+        pilot = StrangRun.linear(psi0, v_ext, spec, PHYS)
+        full = StrangRun.self_harmonic(psi0, FUSION_MODEL, spec, PHYS)
+        seen = []
+        run_lockstep((pilot, full),
+                     lambda t, p, f: seen.append((t, p.copy(), f.copy())))
+        drained = (evolve_linear(psi0, v_ext, spec, PHYS),
+                   evolve_self_harmonic(psi0, FUSION_MODEL, spec, PHYS))
+        for i, (run, (log, final)) in enumerate(zip((pilot, full), drained), 1):
+            assert [t for t, *_ in seen] == run.log.times == log.times
+            assert len(run.log.fields) == len(seen)
+            for frame, kept, alone in zip(seen, run.log.fields, log.fields):
+                assert np.array_equal(frame[i], kept.values)
+                assert np.array_equal(frame[i], alone.values)
+            assert run.log.energy == log.energy
+            assert np.array_equal(run.final.values, final.values)
 
 
 TRAP = HarmonicModelParams(k_ext=1.0, k_self=0.0)

@@ -1,11 +1,15 @@
 import dataclasses
 import re
+import tracemalloc
 
 import pytest
 
 import snsim.scenarios
 from snsim.cli import main
-from snsim.errors import ConfigError
+from snsim.errors import ConfigError, ExtractionError
+from snsim.guidance import decompose_run, frame_sample, write_guidance_csv
+from snsim.oracles import write_series_csv
+from snsim.propagate import write_snapshots
 from snsim.scenarios import (
     ScenarioConfig,
     _resolve_model,
@@ -15,6 +19,7 @@ from snsim.scenarios import (
     build_ground_state,
     parse_config,
     render_config,
+    resolve_sweep_window,
     run_scenario,
     sweep,
     validate_config,
@@ -300,6 +305,102 @@ class TestRunScenario:
         run_scenario(parse_config(SMALL_FIG_TEXT), tmp_path)
         assert not (tmp_path / "pilot").exists()
         assert not (tmp_path / "full").exists()
+
+
+def _list_form(result, out):
+    """A figure1 run's files, written from a result that kept its frames:
+    the rows by decompose_run over the frame lists, the snapshots by the
+    list form of write_snapshots."""
+    write_snapshots(result.pilot_log, out / "pilot")
+    write_snapshots(result.full_log, out / "full")
+    write_guidance_csv(decompose_run(result.times, result.pilot_log.fields,
+                                     result.full_log.fields, result.phys),
+                       out / "guidance.csv")
+    flow = result.moment_flow
+    write_series_csv(out / "oracle_moments.csv",
+                     "t,mean,momentum,variance,variance_rate",
+                     (result.times, flow.mean, flow.momentum, flow.variance,
+                      flow.variance_rate))
+    write_series_csv(out / "classical.csv", "t,x_classical",
+                     (result.times, result.classical))
+
+
+def _tree(root):
+    """Every path under ``root``, hidden ones too, with a file's bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def _run_files(root):
+    tree = _tree(root)
+    tree.pop("report.txt")  # it holds the wall time
+    return tree
+
+
+# 401 output pairs on 1024 nodes, written as they are made
+STREAM_FIG_TEXT = "scenario = figure1\nn_points = 1024\nsnapshots = on\n"
+
+
+class TestStreaming:
+    """figure1 under run_scenario keeps no frames: it analyses and writes
+    each output pair as it is made, with the list forms' bytes."""
+
+    def test_run_files_equal_list_form(self, tmp_path):
+        cfg = parse_config(STREAM_FIG_TEXT)
+        run_scenario(cfg, tmp_path / "run")
+        _list_form(build_figure1(cfg), tmp_path / "ref")
+        files = _run_files(tmp_path / "run")
+        assert len(files) == 2 + 2 * 401 + 3
+        assert files == _tree(tmp_path / "ref")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_files_equal_list_form(self, tmp_path, jobs):
+        # the wide variance ratio keeps both packets resolved on 256 nodes
+        cfg = ScenarioConfig(scenario="figure1", n_points=256,
+                             variance_ratio=0.1, snapshots=True)
+        sweep(cfg, "stiffness_ratio", [10.0, 30.0], tmp_path / "sw",
+              jobs=jobs)
+        template = resolve_sweep_window(cfg)
+        for ratio in (10.0, 30.0):
+            name = f"stiffness_ratio_{ratio:g}"
+            _list_form(build_figure1(dataclasses.replace(
+                template, stiffness_ratio=ratio)), tmp_path / "ref" / name)
+            assert (_run_files(tmp_path / "sw" / name)
+                    == _tree(tmp_path / "ref" / name))
+
+    def test_run_holds_no_frame_list(self, tmp_path):
+        cfg = parse_config(STREAM_FIG_TEXT)
+        one_frame_list = 401 * 1024 * 16  # one run's frames, 6.6 MB
+        tracemalloc.start()
+        try:
+            run_scenario(cfg, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_frame_list
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["new", "rerun"])
+    def test_failure_mid_stream_leaves_out_as_before(self, tmp_path,
+                                                     monkeypatch, earlier):
+        cfg = parse_config(STREAM_FIG_TEXT)
+        out = tmp_path / "out"
+        if earlier:
+            run_scenario(dataclasses.replace(cfg, output_stride=40), out)
+        before = _tree(tmp_path)
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise ExtractionError("injected at frame 5")
+            return frame_sample(*args)
+
+        # four output pairs are written before the fifth fails
+        monkeypatch.setattr(snsim.scenarios, "frame_sample", failing)
+        with pytest.raises(ExtractionError, match="injected"):
+            run_scenario(cfg, out)
+        assert len(calls) == 5
+        assert _tree(tmp_path) == before
 
 
 class TestSweep:
@@ -705,6 +806,28 @@ class TestCli:
         assert "figure1 needs normal, finite scales" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line, fragment", [
+        # the squares of these widths raised OverflowError
+        ("pilot_width = 1e200", "grid_half_width = inf"),
+        ("init_width = 1e200", "pilot_width = inf"),
+        # the grid's half-width overflowed to inf before its ceil
+        ("init_center = 1e308", "grid_half_width = inf"),
+    ])
+    def test_huge_scale_refused(self, tmp_path, capsys, line, fragment):
+        cfg_path = tmp_path / "fig.cfg"
+        cfg_path.write_text(f"scenario = figure1\n{line}\n")
+        code = main(["run", "figure1", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "figure1 needs normal, finite scales: " in err
+        assert fragment in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        err = self._sweep_rejected(tmp_path, capsys, "stiffness_ratio", "10,30",
+                                   "--config", str(cfg_path))
+        assert fragment in err
 
     def test_check_exit_codes(self, monkeypatch, capsys):
         from snsim.scenarios import CheckResult

@@ -224,9 +224,11 @@ def test_sweep_outputs_match_the_reference_writers(tmp_path, monkeypatch, capsys
     results = []
     build = snsim.scenarios.build_figure1
 
-    def keep(cfg):
-        results.append(build(cfg))
-        return results[-1]
+    def keep(cfg, *run_dir):
+        # the member's run streams its files and keeps no frames; the same
+        # config built without a directory keeps them for the reference
+        results.append((build(cfg, *run_dir), build(cfg)))
+        return results[-1][0]
 
     monkeypatch.setattr(snsim.scenarios, "build_figure1", keep)
     cfg_path = tmp_path / "sweep.cfg"
@@ -237,12 +239,12 @@ def test_sweep_outputs_match_the_reference_writers(tmp_path, monkeypatch, capsys
                  "--config", str(cfg_path), "--out", str(out), "--jobs", "2"])
     assert code in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
-    assert sorted(r.cfg.stiffness_ratio for r in results) == [10.0, 30.0]
+    assert sorted(r.cfg.stiffness_ratio for r, _ in results) == [10.0, 30.0]
     ref = tmp_path / "ref"
-    for r in results:
+    for r, kept in results:
         member = out / f"stiffness_ratio_{r.cfg.stiffness_ratio:g}"
         mine = ref / member.name
-        for wave, log in (("pilot", r.pilot_log), ("full", r.full_log)):
+        for wave, log in (("pilot", kept.pilot_log), ("full", kept.full_log)):
             reference_snapshots(log, mine / wave)
             names = sorted(p.name for p in (member / wave).glob("snap_*.dat"))
             assert names == [f"snap_{i:05d}.dat" for i in range(len(log.times))]
