@@ -128,11 +128,21 @@ def sphere_quadratic_kernel(phys: PhysParams, model: HarmonicModelParams) -> Con
     if model.sphere_mass is None or model.sphere_radius is None:
         raise ConfigError("sphere-quadratic kernel needs sphere_mass and sphere_radius")
     m2 = phys.mass**2
-    msq = model.sphere_mass**2
-    radius = model.sphere_radius
-    def fn(u):
-        return (msq / m2) * (3.0 / (5.0 * radius) - u * u / (4.0 * radius**3))
-    return ConvolutionKernel(fn, -phys.G * m2, name="sphere-quadratic")
+    profile = _SphereQuadratic(model.sphere_mass**2 / m2, model.sphere_radius)
+    return ConvolutionKernel(profile, -phys.G * m2, name="sphere-quadratic")
+
+
+@dataclass(frozen=True)
+class _SphereQuadratic:
+    """F(u) = scale (3/(5R) - u^2/(4R^3)); equal parameters give equal
+    kernels, so they share one cached spectrum per grid."""
+
+    scale: float
+    radius: float
+
+    def __call__(self, u):
+        radius = self.radius
+        return self.scale * (3.0 / (5.0 * radius) - u * u / (4.0 * radius**3))
 
 
 def harmonic_external(grid: Grid1D, k_ext: float) -> np.ndarray:

@@ -850,8 +850,12 @@ def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
     model = _resolve_model(cfg, default_k_ext=1.0)
     if model.k_ext <= 0.0:
         raise ConfigError("ehrenfest needs k_ext > 0 for its trapped run")
-    return RunPlan(cfg, phys, model, _grid(cfg, 32.0, cfg.init_width),
-                   _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check"),
+    grid = _grid(cfg, 32.0, cfg.init_width)
+    spec = _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check")
+    omega = math.sqrt((model.k_ext + model.k_self) / phys.mass)
+    if omega:  # an underflowed frequency bounds no dt
+        _check_dt_accuracy(spec, omega)
+    return RunPlan(cfg, phys, model, grid, spec,
                    sphere_quadratic_kernel(phys, model))
 
 
@@ -861,18 +865,28 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     Free flight: the self-force averages to zero, so the packet mean
     moves on a straight line.  In a trap the mean obeys the classical
     oscillator equation exactly.
+
+    The two runs are independent and spend most of their time in numpy
+    FFTs and the complex exp, which release the GIL, so two pool threads
+    run them at once while the caller waits (perfbench ``ehrenfest``
+    op_s 0.78 -> 0.62 s on 2 cores, for 0.96 MB more peak RSS).
+    The logs equal those of serial runs, a free-run error wins over a
+    trapped one, and the pool has ended when this returns or raises.
     """
     cfg, phys, model, grid, spec, kernel = _plan_ehrenfest(cfg)
-    psi_free = gaussian_packet(grid, -2.0, cfg.init_width,
-                               velocity=_grid_velocity(grid, phys, 1.0),
+
+    def run(center, velocity, v_ext):
+        psi0 = gaussian_packet(grid, center, cfg.init_width, velocity=velocity,
                                norm_sq=phys.norm_sq, hbar=phys.hbar,
                                mass=phys.mass)
-    log_free, _ = evolve_kernel(psi_free, kernel, np.zeros(grid.n_points),
-                                spec, phys)
-    psi_trap = gaussian_packet(grid, 1.5, cfg.init_width, norm_sq=phys.norm_sq,
-                               hbar=phys.hbar, mass=phys.mass)
-    log_trap, _ = evolve_kernel(psi_trap, kernel,
-                                harmonic_external(grid, model.k_ext), spec, phys)
+        log, _ = evolve_kernel(psi0, kernel, v_ext, spec, phys)
+        return log
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        free = pool.submit(run, -2.0, _grid_velocity(grid, phys, 1.0),
+                           np.zeros(grid.n_points))
+        trap = pool.submit(run, 1.5, 0.0, harmonic_external(grid, model.k_ext))
+        log_free, log_trap = free.result(), trap.result()
     h = log_free.times[1] - log_free.times[0]
     metrics = {
         "free_acc_max": float(np.max(np.abs(

@@ -7,6 +7,7 @@ from snsim.potentials import (
     ConvolutionKernel,
     HarmonicModelParams,
     PhysParams,
+    _kernel_spectrum,
     convolution_self_potential,
     harmonic_external,
     scaling_check,
@@ -207,6 +208,29 @@ class TestSphereKernel:
         model = HarmonicModelParams(k_ext=0.0, k_self=1.0)
         with pytest.raises(ConfigError):
             sphere_quadratic_kernel(phys, model)
+
+    def test_equal_parameters_share_one_spectrum(self):
+        # each call returned a fresh closure, so every kernel missed the
+        # spectrum cache and the cache filled with dead spectra
+        phys = PhysParams(G=1.0, mass=1.5, norm_sq=2.0)
+        model = HarmonicModelParams(k_ext=0.0, k_self=0.032, sphere_mass=2.0,
+                                    sphere_radius=5.0)
+        first = sphere_quadratic_kernel(phys, model)
+        second = sphere_quadratic_kernel(phys, model)
+        assert first == second and hash(first) == hash(second)
+        spectrum = _kernel_spectrum(first, GRID)
+        misses = _kernel_spectrum.cache_info().misses
+        assert _kernel_spectrum(second, GRID) is spectrum
+        assert _kernel_spectrum.cache_info().misses == misses
+
+        # the closure the kernel used to be, bit for bit
+        msq, m2, radius = 4.0, 2.25, 5.0
+
+        def closure(u):
+            return (msq / m2) * (3.0 / (5.0 * radius) - u * u / (4.0 * radius**3))
+
+        reference = ConvolutionKernel(closure, -phys.G * m2, "sphere-quadratic")
+        assert np.array_equal(_kernel_spectrum(reference, GRID), spectrum)
 
 
 class TestStiffnessConsistency:

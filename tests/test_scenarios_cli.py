@@ -1,14 +1,19 @@
 import dataclasses
 import re
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 import snsim.scenarios
 from snsim.cli import main
-from snsim.errors import ConfigError, ExtractionError
+from snsim.errors import ConfigError, ExtractionError, SimulationError
 from snsim.guidance import decompose_run, frame_sample, write_guidance_csv
 from snsim.oracles import write_series_csv
+from snsim.potentials import _kernel_spectrum
 from snsim.propagate import write_snapshots
 from snsim.scenarios import (
     ScenarioConfig,
@@ -57,6 +62,11 @@ PLAN_RULES = {
     "lone-x_min": ({"n_points": 1024}, "x_min", 50.0,
                    "x_min must be below x_max"),
     "dt-bound": ({"n_points": 1024}, "dt", 0.1, "exceeds the accuracy bound"),
+    # 29 steps of 0.69 against dt_max = 0.627 ran, and the trapped packet
+    # then failed the boundary-leak check as if the domain were too small
+    "ehrenfest-dt-bound": ({"scenario": "ehrenfest", "n_points": 1024,
+                            "t_end": 20.0}, "dt", 0.7,
+                           "exceeds the accuracy bound"),
     "sphere-stiffness": ({"n_points": 1024, "sphere_radius": 1.0},
                          "sphere_mass", 1e200, "is not a finite number"),
     # a velocity below half the grid's step used to run a packet at rest
@@ -238,6 +248,13 @@ class TestRunPlan:
         assert validate_config(cfg) == [
             "the grid [-inf, inf) has no finite length"]
 
+    def test_ehrenfest_underflowed_frequency_bounds_no_dt(self):
+        # (k_ext + k_self) / mass underflows to 0: no accuracy bound, and
+        # no division by a zero frequency
+        cfg = ScenarioConfig(scenario="ehrenfest", k_ext=5e-324, mass=1e10,
+                             G=1e-320)
+        assert validate_config(cfg) == []
+
     def test_refused_run_leaves_no_directory(self, tmp_path):
         out = tmp_path / "run"
         with pytest.raises(ConfigError, match="output times"):
@@ -335,6 +352,75 @@ def _run_files(root):
     tree = _tree(root)
     tree.pop("report.txt")  # it holds the wall time
     return tree
+
+
+class TestEhrenfestRuns:
+    """build_ehrenfest runs its free and trapped kernel runs at once."""
+
+    CFG = ScenarioConfig(scenario="ehrenfest", n_points=1024, t_end=0.2)
+
+    def test_pool_runs_equal_serial_runs(self, monkeypatch):
+        calls = []
+        evolve = snsim.scenarios.evolve_kernel
+
+        def recording(*args):
+            log, final = evolve(*args)
+            calls.append((args, log, threading.get_ident()))
+            return log, final
+
+        monkeypatch.setattr(snsim.scenarios, "evolve_kernel", recording)
+        threads = threading.active_count()
+        build_ehrenfest(self.CFG)
+        assert threading.active_count() == threads
+        # one free and one trapped run, neither on the calling thread
+        assert sorted(bool(args[2].any()) for args, _, _ in calls) == [False, True]
+        assert threading.get_ident() not in {ident for _, _, ident in calls}
+        # times, means, norms and energies equal those of the same two
+        # runs made one after the other
+        for args, log, _ in calls:
+            serial = evolve(*args)[0]
+            for pooled, alone in zip(log.as_arrays(), serial.as_arrays()):
+                assert np.array_equal(pooled, alone)
+
+    def test_free_error_propagates(self, monkeypatch):
+        # the trapped run fails first; the free run's error still wins
+        trapped_failed = threading.Event()
+
+        def failing(psi0, kernel, v_ext, spec, phys):
+            if v_ext.any():
+                trapped_failed.set()
+                raise SimulationError("trapped run failed")
+            trapped_failed.wait(timeout=10.0)
+            raise SimulationError("free run failed")
+
+        monkeypatch.setattr(snsim.scenarios, "evolve_kernel", failing)
+        threads = threading.active_count()
+        with pytest.raises(SimulationError, match="free run failed"):
+            build_ehrenfest(self.CFG)
+        assert trapped_failed.is_set()
+        assert threading.active_count() == threads
+
+    def test_concurrent_builds_give_serial_metrics(self):
+        # four builds at once put eight run threads on the host's cores,
+        # switching often; they share the cached kernel spectrum
+        cfg = dataclasses.replace(self.CFG, n_points=256, t_end=0.05)
+        expected = build_ehrenfest(cfg).metrics
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                builds = [pool.submit(build_ehrenfest, cfg) for _ in range(4)]
+                results = [b.result(timeout=60.0) for b in builds]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.metrics == expected for r in results)
+
+    def test_second_build_adds_no_spectrum_miss(self):
+        # equal sphere kernels share one cached spectrum
+        build_ehrenfest(self.CFG)
+        misses = _kernel_spectrum.cache_info().misses
+        build_ehrenfest(self.CFG)
+        assert _kernel_spectrum.cache_info().misses == misses
 
 
 # 401 output pairs on 1024 nodes, written as they are made
