@@ -153,13 +153,17 @@ def harmonic_external(grid: Grid1D, k_ext: float) -> np.ndarray:
     return 0.5 * k_ext * x * x
 
 
+def _mean_position(total: float, moment: float) -> float:
+    """<x> of a density of integral ``total`` and first moment ``moment``."""
+    if total <= 0.0:
+        raise DegenerateInputError("zero-norm field has no mean position")
+    return moment / total
+
+
 def _self_trap(x: np.ndarray, rho: np.ndarray, k_self: float) -> np.ndarray:
     """Mean-field self-trap k_self (x - <x>)^2 / 2, <x> the rho-weighted mean of
     the nodes ``x``, so the rho-weighted mean force vanishes identically."""
-    total = rho.sum()
-    if total <= 0.0:
-        raise DegenerateInputError("zero-norm field has no mean position")
-    u = x - (rho * x).sum() / total
+    u = x - _mean_position(rho.sum(), (rho * x).sum())
     return 0.5 * k_self * u * u
 
 

@@ -9,8 +9,12 @@ after the kinetic step closes step n and opens step n + 1: one
 evaluation per step, at the midpoint density, which keeps the scheme
 second order and time reversible.  Between outputs the two half-steps
 are fused into one exp(-i V dt / hbar); at an output the same value
-feeds the logged energy.  Imaginary-time relaxation of the trap model
-builds the same family and monitors the same energy.
+feeds the logged energy.  The mean-field trap's V is quadratic in x:
+its phase is a fixed factor times a plane wave that two tables of about
+sqrt(n) exponentials give, so a step takes only <x> of the density, and
+V_self is built at outputs alone, for the energy.  Imaginary-time
+relaxation of the trap model builds the same family and monitors the
+same energy.
 
 The loop is a stream: a :class:`StrangRun` yields each output frame as
 it is logged.  :func:`run_lockstep` advances several runs together and
@@ -48,6 +52,7 @@ from .potentials import (
     ConvolutionKernel,
     HarmonicModelParams,
     PhysParams,
+    _mean_position,
     _self_trap,
     convolution_self_potential,
     harmonic_external,
@@ -82,9 +87,11 @@ class EvolutionSpec:
             errors.append("t_end must be positive")
         if self.output_stride < 1:
             errors.append("output_stride must be >= 1")
-        if not errors and self.dt != 0.0:
+        if not errors:
             ratio = self.t_end / abs(self.dt)
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            if not math.isfinite(ratio):
+                errors.append(f"t_end/dt = {self.t_end!r}/{self.dt!r} is not finite")
+            elif abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
                 errors.append(
                     f"t_end={self.t_end!r} is not an integer number of steps "
                     f"of dt={self.dt!r}"
@@ -151,12 +158,13 @@ class _Family:
     static potential.  The interaction energy is
     ``energy_weight * int V_self |psi|^2 dx``: 1 for the mean-field trap
     (homogeneous of degree one in the density), 1/2 for a pair kernel
-    (degree two).
+    (degree two).  A nonzero ``k_self`` marks the mean-field trap.
     """
 
     v_ext: np.ndarray
     self_potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     energy_weight: float = 1.0
+    k_self: float = 0.0
 
 
 def _self_trap_family(grid: Grid1D, model: HarmonicModelParams) -> _Family:
@@ -167,7 +175,32 @@ def _self_trap_family(grid: Grid1D, model: HarmonicModelParams) -> _Family:
         return _self_trap(x, _density(vals), model.k_self)
 
     return _Family(harmonic_external(grid, model.k_ext),
-                   self_potential if model.k_self != 0.0 else None)
+                   self_potential if model.k_self != 0.0 else None,
+                   k_self=model.k_self)
+
+
+def _trap_phase(grid: Grid1D, v_ext: np.ndarray, k_self: float, f: complex):
+    """phase(X, halves) = exp(halves f V) for V = v_ext + k_self (x - X)^2 / 2.
+
+    V = [v_ext + k_self x^2/2] - k_self X x + k_self X^2/2: a fixed phase
+    times a plane wave and a constant.  At x_j = x_min + (r b + c) dx, b ~
+    sqrt(n), the wave is a table over r times one over c with the constant.
+    """
+    x = grid.nodes
+    half = np.exp(f * (v_ext + 0.5 * k_self * x * x))
+    n = grid.n_points
+    n_rows = 1 << n.bit_length() // 2  # 2^ceil(k/2) rows of b for n = 2^k
+    fixed = {1: half.reshape(n_rows, -1), 2: (half * half).reshape(n_rows, -1)}
+    # j = r b at the rows, then j = c at the columns
+    j = np.concatenate([np.arange(0, n, n // n_rows), np.arange(n // n_rows)])
+
+    def phase(mean, halves):
+        g = halves * f * k_self * mean
+        wave = np.exp(-g * grid.dx * j)
+        cols = wave[n_rows:] * np.exp(g * (0.5 * mean - grid.x_min))
+        return (fixed[halves] * wave[:n_rows, None] * cols).reshape(-1)
+
+    return phase
 
 
 def _energy(vals: np.ndarray, rho: np.ndarray, family: _Family, v_self,
@@ -211,6 +244,8 @@ class _Recorder:
 
     def record(self, t: float, vals: np.ndarray, v_self):
         rho = _density(vals)
+        if self.family.k_self:  # v_self is <x>: build V_self, for the energy
+            v_self = _self_trap(self.grid.nodes, rho, self.family.k_self)
         dx = self.grid.dx
         x = self.grid.nodes
         n2 = float(rho.sum() * dx)
@@ -315,14 +350,20 @@ class StrangRun:
         kin_phase = np.exp(-1j * phys.hbar * k * k * dt / (2.0 * phys.mass))
         half_factor = -1j * dt / (2.0 * phys.hbar)
         static = family.self_potential is None
+        mean_field = family.k_self != 0.0
         if static:
             # a fixed potential needs its two phase factors only once
             half_ext = np.exp(half_factor * family.v_ext)
             static_phase = {1: half_ext, 2: half_ext * half_ext}
+        elif mean_field:
+            trap_phase = _trap_phase(grid, family.v_ext, family.k_self, half_factor)
 
         def evaluate(vals, step):
             if static:
                 return None
+            if mean_field:  # the closed-form phase takes <x> alone
+                return _mean_position(np.vdot(vals, vals).real,
+                                      np.vdot(vals, grid.nodes * vals).real)
             try:
                 return family.self_potential(vals)
             except ConfigError:
@@ -332,17 +373,19 @@ class StrangRun:
                     raise
                 raise NonFiniteFieldError(step * dt) from None
 
-        def phase(v_self, halves):
+        def phase(state, halves):
             if static:
                 return static_phase[halves]
-            return np.exp(halves * half_factor * (family.v_ext + v_self))
+            if mean_field:
+                return trap_phase(state, halves)
+            return np.exp(halves * half_factor * (family.v_ext + state))
 
         rec = self._rec
         vals = psi0.values.copy()
-        v_self = evaluate(vals, 0)
-        rec.record(0.0, vals, v_self)
+        state = evaluate(vals, 0)
+        rec.record(0.0, vals, state)
         yield 0.0, vals
-        vals *= phase(v_self, 1)
+        vals *= phase(state, 1)
         n_steps, stride = spec.n_steps, spec.output_stride
         for step in range(1, n_steps + 1):
             ft = np.fft.fft(vals)
@@ -354,14 +397,14 @@ class StrangRun:
                 rec.check_boundary(step * dt, _density(vals))
             # |psi| is the same on both sides of the potential step, so this
             # value closes this step and opens the next
-            v_self = evaluate(vals, step)
+            state = evaluate(vals, step)
             if step % stride and step < n_steps:
-                vals *= phase(v_self, 2)
+                vals *= phase(state, 2)
                 continue
-            half_phase = phase(v_self, 1)
+            half_phase = phase(state, 1)
             vals *= half_phase
             if step % stride == 0:
-                rec.record(step * dt, vals, v_self)
+                rec.record(step * dt, vals, state)
                 yield step * dt, vals
             if step < n_steps:
                 vals *= half_phase

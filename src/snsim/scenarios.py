@@ -367,6 +367,8 @@ def _steps(cfg: ScenarioConfig, t_end: float, dt: float, frames: Optional[int],
     """
     t_end = cfg.t_end if cfg.t_end is not None else t_end
     dt = cfg.dt if cfg.dt is not None else dt
+    if not math.isfinite(t_end / dt):
+        raise ConfigError(f"t_end/dt = {t_end:g}/{dt:g} is not finite")
     n_steps = max(1, math.ceil(t_end / dt - 1e-9))
     if cfg.output_stride is not None:
         stride = cfg.output_stride

@@ -16,6 +16,8 @@ from snsim.potentials import (
     ConvolutionKernel,
     HarmonicModelParams,
     PhysParams,
+    _mean_position,
+    _self_trap,
     convolution_self_potential,
     harmonic_external,
     self_harmonic,
@@ -52,6 +54,13 @@ class TestEvolutionSpec:
 
     def test_step_count(self):
         assert EvolutionSpec(dt=0.01, t_end=1.0).n_steps == 100
+
+    @pytest.mark.parametrize("dt, t_end", [(5e-324, 1.0), (-5e-324, 1.0),
+                                           (1e-10, 1e308)])
+    def test_overflowing_step_count(self, dt, t_end):
+        # round(inf) raised OverflowError
+        with pytest.raises(ConfigError, match="t_end/dt = "):
+            EvolutionSpec(dt=dt, t_end=t_end)
 
 
 class TestEvolveLinear:
@@ -356,6 +365,44 @@ class TestFusedStepper:
         evolve_kernel(psi0, FUSION_KERNEL, harmonic_external(SMALL, 1.0), spec, PHYS)
         # one to open the run, then one per step; the energy reuses them
         assert len(calls) == spec.n_steps + 1
+
+
+class TestTrapPhase:
+    """The mean-field potential step in closed form."""
+
+    @pytest.mark.parametrize("n", [2, 8, 1024, 4096])
+    @pytest.mark.parametrize("dt", [1e-2, -1e-2])
+    @pytest.mark.parametrize("halves", [1, 2])
+    def test_equals_exponential_of_potential(self, n, dt, halves):
+        grid = Grid1D(n, -8.0, 8.0)
+        x = grid.nodes
+        rng = np.random.default_rng(n)
+        # an off-centre density with random weights: <x> is far from 0
+        rho = np.exp(-0.5 * (x - 1.7) ** 2) + 0.5 * rng.random(n)
+        assert abs((rho * x).sum() / rho.sum()) > 0.3
+        model = HarmonicModelParams(k_ext=1.3, k_self=40.0)
+        v_ext = harmonic_external(grid, model.k_ext)
+        f = -0.5j * dt / PHYS.hbar
+        mean = _mean_position(rho.sum(), (rho * x).sum())
+        got = snsim.propagate._trap_phase(grid, v_ext, model.k_self, f)(mean, halves)
+        want = np.exp(halves * f * (v_ext + _self_trap(x, rho, model.k_self)))
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_self_trap_built_only_at_outputs(self, stride, monkeypatch):
+        calls = []
+
+        def counting(x, rho, k_self):
+            calls.append(1)
+            return _self_trap(x, rho, k_self)
+
+        monkeypatch.setattr(snsim.propagate, "_self_trap", counting)
+        psi0 = gaussian_packet(SMALL, 0.7, 0.6)
+        # 40 steps: with stride 7 the run ends between two outputs
+        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
+        log, _ = evolve_self_harmonic(psi0, FUSION_MODEL, spec, PHYS)
+        # one for each logged energy, none for the steps themselves
+        assert len(calls) == len(log.times) == spec.n_steps // stride + 1
 
 
 class TestLockstep:

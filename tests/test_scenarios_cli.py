@@ -67,6 +67,15 @@ PLAN_RULES = {
     "ehrenfest-dt-bound": ({"scenario": "ehrenfest", "n_points": 1024,
                             "t_end": 20.0}, "dt", 0.7,
                            "exceeds the accuracy bound"),
+    # t_end / dt overflowed to inf: OverflowError from the step count's ceil
+    "figure1-dt-underflow": ({"n_points": 1024}, "dt", 5e-324,
+                             "t_end/dt = "),
+    "boost-dt-underflow": ({"scenario": "boost"}, "dt", 5e-324,
+                           "t_end/dt = "),
+    "boost-t_end-overflow": ({"scenario": "boost", "dt": 1e-10}, "t_end", 1e308,
+                             "t_end/dt = "),
+    "ehrenfest-dt-underflow": ({"scenario": "ehrenfest", "n_points": 1024}, "dt",
+                               5e-324, "t_end/dt = "),
     "sphere-stiffness": ({"n_points": 1024, "sphere_radius": 1.0},
                          "sphere_mass", 1e200, "is not a finite number"),
     # a velocity below half the grid's step used to run a packet at rest
@@ -831,6 +840,18 @@ class TestCli:
         err = self._run_rejected(tmp_path, capsys, "ground-state",
                                  sphere + "k_self = 1\n")
         assert "sphere_mass" in err and "sphere_radius" in err
+
+    @pytest.mark.parametrize("scenario, text", [
+        ("boost", "dt = 5e-324\n"),
+        ("boost", "t_end = 1e308\ndt = 1e-10\n"),
+        ("figure1", "dt = 5e-324\n"),
+        ("ehrenfest", "dt = 5e-324\n"),
+    ])
+    def test_step_count_overflow(self, tmp_path, capsys, scenario, text):
+        # t_end / dt = inf ended in an OverflowError traceback, exit 1
+        err = self._run_rejected(tmp_path, capsys, scenario,
+                                 f"scenario = {scenario}\n{text}")
+        assert "t_end/dt = " in err
 
     def test_ehrenfest_vanishing_t_end(self, tmp_path, capsys):
         # far below one default step: one step, too few outputs, not a
