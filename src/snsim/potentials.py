@@ -134,11 +134,15 @@ def sphere_quadratic_kernel(phys: PhysParams, model: HarmonicModelParams) -> Con
 
 @dataclass(frozen=True)
 class _SphereQuadratic:
-    """F(u) = scale (3/(5R) - u^2/(4R^3)); equal parameters give equal
-    kernels, so they share one cached spectrum per grid."""
+    """F(u) = scale (3/(5R) - u^2/(4R^3)) = c0 + c2 u^2; equal parameters
+    give equal kernels, so they share one cached spectrum per grid."""
 
     scale: float
     radius: float
+
+    def coefficients(self) -> tuple[float, float]:
+        return (self.scale * 3.0 / (5.0 * self.radius),
+                -self.scale / (4.0 * self.radius**3))
 
     def __call__(self, u):
         radius = self.radius

@@ -9,12 +9,12 @@ after the kinetic step closes step n and opens step n + 1: one
 evaluation per step, at the midpoint density, which keeps the scheme
 second order and time reversible.  Between outputs the two half-steps
 are fused into one exp(-i V dt / hbar); at an output the same value
-feeds the logged energy.  The mean-field trap's V is quadratic in x:
-its phase is a fixed factor times a plane wave that two tables of about
-sqrt(n) exponentials give, so a step takes only <x> of the density, and
-V_self is built at outputs alone, for the energy.  Imaginary-time
-relaxation of the trap model builds the same family and monitors the
-same energy.
+feeds the logged energy.  The mean-field trap's V, and the sphere
+kernel's (F(u) = c0 + c2 u^2), is quadratic in x: a fixed phase times a
+plane wave from two tables of about sqrt(n) exponentials and a constant,
+so a step takes two or three moments of the density, and V_self is
+built at outputs alone; other kernels convolve once a step.  Imaginary
+time relaxes the trap model under the same family and energy.
 
 The loop is a stream: a :class:`StrangRun` yields each output frame as
 it is logged.  :func:`run_lockstep` advances several runs together and
@@ -52,6 +52,7 @@ from .potentials import (
     ConvolutionKernel,
     HarmonicModelParams,
     PhysParams,
+    _SphereQuadratic,
     _mean_position,
     _self_trap,
     convolution_self_potential,
@@ -158,13 +159,15 @@ class _Family:
     static potential.  The interaction energy is
     ``energy_weight * int V_self |psi|^2 dx``: 1 for the mean-field trap
     (homogeneous of degree one in the density), 1/2 for a pair kernel
-    (degree two).  A nonzero ``k_self`` marks the mean-field trap.
+    (degree two).  A nonzero ``k_self`` marks a V_self stepped in closed
+    form: k_self (x - <x>)^2 / 2, plus k_self Var / 2 + ``offset`` if set.
     """
 
     v_ext: np.ndarray
     self_potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
     energy_weight: float = 1.0
     k_self: float = 0.0
+    offset: Optional[float] = None
 
 
 def _self_trap_family(grid: Grid1D, model: HarmonicModelParams) -> _Family:
@@ -179,8 +182,28 @@ def _self_trap_family(grid: Grid1D, model: HarmonicModelParams) -> _Family:
                    k_self=model.k_self)
 
 
+def _kernel_family(psi0: WaveField, kernel: ConvolutionKernel, v_ext) -> _Family:
+    """V_ext plus the convolution self-potential of ``kernel``.
+
+    For F(u) = c0 + c2 u^2, coupling dx sum_m rho_m F(x - x_m) is exactly
+    offset + k_self ((x - X)^2 + Var) / 2, offset = coupling dx c0 N and
+    k_self = 2 coupling dx c2 N with N = sum rho at t = 0 (the step is unitary).
+    """
+    grid = psi0.grid
+
+    def self_potential(vals):
+        return convolution_self_potential(WaveField(grid, vals), kernel)
+
+    v_ext = np.asarray(v_ext, dtype=float)
+    if not isinstance(kernel.fn, _SphereQuadratic):
+        return _Family(v_ext, self_potential, 0.5)
+    c0, c2 = kernel.fn.coefficients()
+    pair_n = kernel.coupling * grid.dx * np.vdot(psi0.values, psi0.values).real
+    return _Family(v_ext, self_potential, 0.5, 2.0 * c2 * pair_n, c0 * pair_n)
+
+
 def _trap_phase(grid: Grid1D, v_ext: np.ndarray, k_self: float, f: complex):
-    """phase(X, halves) = exp(halves f V) for V = v_ext + k_self (x - X)^2 / 2.
+    """phase(X, halves, c) = exp(halves f (v_ext + k_self (x - X)^2 / 2 + c)).
 
     V = [v_ext + k_self x^2/2] - k_self X x + k_self X^2/2: a fixed phase
     times a plane wave and a constant.  At x_j = x_min + (r b + c) dx, b ~
@@ -194,10 +217,10 @@ def _trap_phase(grid: Grid1D, v_ext: np.ndarray, k_self: float, f: complex):
     # j = r b at the rows, then j = c at the columns
     j = np.concatenate([np.arange(0, n, n // n_rows), np.arange(n // n_rows)])
 
-    def phase(mean, halves):
+    def phase(mean, halves, offset=0.0):
         g = halves * f * k_self * mean
         wave = np.exp(-g * grid.dx * j)
-        cols = wave[n_rows:] * np.exp(g * (0.5 * mean - grid.x_min))
+        cols = wave[n_rows:] * np.exp(g * (0.5 * mean - grid.x_min) + halves * f * offset)
         return (fixed[halves] * wave[:n_rows, None] * cols).reshape(-1)
 
     return phase
@@ -244,13 +267,14 @@ class _Recorder:
 
     def record(self, t: float, vals: np.ndarray, v_self):
         rho = _density(vals)
-        if self.family.k_self:  # v_self is <x>: build V_self, for the energy
-            v_self = _self_trap(self.grid.nodes, rho, self.family.k_self)
         dx = self.grid.dx
         x = self.grid.nodes
         n2 = float(rho.sum() * dx)
         if not math.isfinite(n2):
             raise NonFiniteFieldError(t)
+        if self.family.k_self:  # v_self is (<x>, constant): build V_self
+            v_self = (_self_trap(x, rho, self.family.k_self)
+                      if self.family.offset is None else self.family.self_potential(vals))
         self.check_boundary(t, rho)
         if n2 > 0:
             mean = float((rho * x).sum() * dx / n2)
@@ -325,13 +349,7 @@ class StrangRun:
                v_ext: np.ndarray, spec: EvolutionSpec,
                phys: PhysParams = PhysParams()) -> "StrangRun":
         """Evolution under V_ext plus the convolution self-potential."""
-        grid = psi0.grid
-
-        def self_potential(vals):
-            return convolution_self_potential(WaveField(grid, vals), kernel)
-
-        family = _Family(np.asarray(v_ext, dtype=float), self_potential, 0.5)
-        return cls(psi0, family, spec, phys)
+        return cls(psi0, _kernel_family(psi0, kernel, v_ext), spec, phys)
 
     def __iter__(self) -> Iterator[tuple[float, np.ndarray]]:
         return self._frames
@@ -350,20 +368,25 @@ class StrangRun:
         kin_phase = np.exp(-1j * phys.hbar * k * k * dt / (2.0 * phys.mass))
         half_factor = -1j * dt / (2.0 * phys.hbar)
         static = family.self_potential is None
-        mean_field = family.k_self != 0.0
+        closed_form = family.k_self != 0.0
         if static:
             # a fixed potential needs its two phase factors only once
             half_ext = np.exp(half_factor * family.v_ext)
             static_phase = {1: half_ext, 2: half_ext * half_ext}
-        elif mean_field:
+        elif closed_form:
             trap_phase = _trap_phase(grid, family.v_ext, family.k_self, half_factor)
 
         def evaluate(vals, step):
             if static:
                 return None
-            if mean_field:  # the closed-form phase takes <x> alone
-                return _mean_position(np.vdot(vals, vals).real,
-                                      np.vdot(vals, grid.nodes * vals).real)
+            if closed_form:  # the closed-form phase takes <x> and the constant
+                xv = grid.nodes * vals
+                total = np.vdot(vals, vals).real
+                mean = _mean_position(total, np.vdot(vals, xv).real)
+                if family.offset is None:
+                    return mean, 0.0
+                variance = np.vdot(xv, xv).real / total - mean * mean
+                return mean, family.offset + 0.5 * family.k_self * variance
             try:
                 return family.self_potential(vals)
             except ConfigError:
@@ -376,8 +399,8 @@ class StrangRun:
         def phase(state, halves):
             if static:
                 return static_phase[halves]
-            if mean_field:
-                return trap_phase(state, halves)
+            if closed_form:
+                return trap_phase(state[0], halves, state[1])
             return np.exp(halves * half_factor * (family.v_ext + state))
 
         rec = self._rec

@@ -287,6 +287,10 @@ class TestEvolveKernel:
 SMALL = Grid1D(512, -16.0, 16.0)
 FUSION_MODEL = HarmonicModelParams(k_ext=1.0, k_self=20.0)
 FUSION_KERNEL = ConvolutionKernel(lambda u: np.exp(-0.5 * u * u), -3.0)
+# G M^2 N^2 / (2 R^3) = 19.6, about FUSION_MODEL's stiffness
+SPHERE_KERNEL = sphere_quadratic_kernel(
+    PHYS, HarmonicModelParams(k_ext=1.0, k_self=0.0, sphere_mass=70.0,
+                              sphere_radius=5.0))
 
 
 def _fusion_case(family):
@@ -298,9 +302,10 @@ def _fusion_case(family):
     if family == "mean-field":
         return ((lambda psi, spec: evolve_self_harmonic(psi, FUSION_MODEL, spec, PHYS)),
                 lambda vals: self_harmonic(WaveField(SMALL, vals), FUSION_MODEL), 1.0)
-    return ((lambda psi, spec: evolve_kernel(psi, FUSION_KERNEL, v_ext, spec, PHYS)),
+    kernel = SPHERE_KERNEL if family == "sphere-kernel" else FUSION_KERNEL
+    return ((lambda psi, spec: evolve_kernel(psi, kernel, v_ext, spec, PHYS)),
             lambda vals: convolution_self_potential(WaveField(SMALL, vals),
-                                                    FUSION_KERNEL), 0.5)
+                                                    kernel), 0.5)
 
 
 def _unfused_reference(psi0, v_self, weight, spec):
@@ -334,7 +339,8 @@ def _unfused_reference(psi0, v_self, weight, spec):
 
 
 class TestFusedStepper:
-    @pytest.mark.parametrize("family", ["static", "mean-field", "kernel"])
+    @pytest.mark.parametrize("family", ["static", "mean-field", "kernel",
+                                        "sphere-kernel"])
     @pytest.mark.parametrize("dt, stride", [(2e-3, 1), (2e-3, 7), (-2e-3, 5)])
     def test_matches_unfused_reference(self, family, dt, stride):
         evolve, v_self, weight = _fusion_case(family)
@@ -401,6 +407,44 @@ class TestTrapPhase:
         # 40 steps: with stride 7 the run ends between two outputs
         spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
         log, _ = evolve_self_harmonic(psi0, FUSION_MODEL, spec, PHYS)
+        # one for each logged energy, none for the steps themselves
+        assert len(calls) == len(log.times) == spec.n_steps // stride + 1
+
+
+class TestSphereKernel:
+    """The sphere kernel's potential step in closed form."""
+
+    @pytest.mark.parametrize("n", [2, 8, 1024, 4096])
+    def test_moment_form_equals_convolution(self, n):
+        grid = Grid1D(n, -8.0, 8.0)
+        x = grid.nodes
+        rng = np.random.default_rng(n)
+        # an off-centre density with random weights and phases
+        amp = np.sqrt(np.exp(-0.5 * (x - 1.7) ** 2) + 0.5 * rng.random(n))
+        psi0 = WaveField(grid, amp * np.exp(2j * np.pi * rng.random(n)))
+        rho = amp * amp
+        mean = (rho * x).sum() / rho.sum()
+        assert abs(mean) > 0.3
+        family = snsim.propagate._kernel_family(psi0, SPHERE_KERNEL, np.zeros(n))
+        variance = (rho * x * x).sum() / rho.sum() - mean * mean
+        moment_form = family.offset + 0.5 * family.k_self * ((x - mean) ** 2 + variance)
+        want = convolution_self_potential(psi0, SPHERE_KERNEL)
+        assert np.max(np.abs(moment_form - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_convolution_built_only_at_outputs(self, stride, monkeypatch):
+        calls = []
+
+        def counting(f, kernel):
+            calls.append(1)
+            return convolution_self_potential(f, kernel)
+
+        monkeypatch.setattr(snsim.propagate, "convolution_self_potential", counting)
+        psi0 = gaussian_packet(SMALL, 0.7, 0.6)
+        # 40 steps: with stride 7 the run ends between two outputs
+        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
+        log, _ = evolve_kernel(psi0, SPHERE_KERNEL, harmonic_external(SMALL, 1.0),
+                               spec, PHYS)
         # one for each logged energy, none for the steps themselves
         assert len(calls) == len(log.times) == spec.n_steps // stride + 1
 
@@ -532,6 +576,13 @@ class TestNonFinite:
         psi0 = gaussian_packet(SMALL, 0.0, 1.0)
         self._raises_at(0.01, lambda: evolve_kernel(
             psi0, FUSION_KERNEL, self._v_ext(), self.SPEC))
+
+    def test_sphere_kernel(self):
+        # stepped in closed form, the sphere kernel convolves at outputs
+        # alone: the first output after the NaN enters names it
+        psi0 = gaussian_packet(SMALL, 0.0, 1.0)
+        self._raises_at(0.05, lambda: evolve_kernel(
+            psi0, SPHERE_KERNEL, self._v_ext(), self.SPEC))
 
 
 class TestSnapshots:

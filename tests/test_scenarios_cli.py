@@ -76,6 +76,13 @@ PLAN_RULES = {
                              "t_end/dt = "),
     "ehrenfest-dt-underflow": ({"scenario": "ehrenfest", "n_points": 1024}, "dt",
                                5e-324, "t_end/dt = "),
+    # 4e11, 2e11 and 2e12 steps were planned, and the run started
+    "figure1-runaway-steps": ({"n_points": 1024}, "dt", 1e-12,
+                              "plans 3.97185e+11 steps, above the cap of 10000000"),
+    "boost-runaway-steps": ({"scenario": "boost"}, "dt", 1e-12,
+                            "plans 1.98692e+11 steps, above the cap"),
+    "ehrenfest-runaway-steps": ({"scenario": "ehrenfest", "n_points": 1024}, "dt",
+                                1e-12, "plans 2e+12 steps, above the cap"),
     "sphere-stiffness": ({"n_points": 1024, "sphere_radius": 1.0},
                          "sphere_mass", 1e200, "is not a finite number"),
     # a velocity below half the grid's step used to run a packet at rest
@@ -211,6 +218,15 @@ class TestRunPlan:
             builder(cfg)
         assert any(fragment in msg for msg in err.value.errors)
         assert validate_config(cfg) == err.value.errors
+
+    def test_step_cap(self):
+        # a plan of MAX_STEPS steps is made; one step more is refused
+        cap = snsim.scenarios.MAX_STEPS
+        cfg = ScenarioConfig(scenario="ehrenfest")
+        plan = snsim.scenarios._steps(cfg, 1.0, 1.0 / cap, 200, 5, "the check")
+        assert plan.n_steps == cap
+        with pytest.raises(ConfigError, match="above the cap of 10000000"):
+            snsim.scenarios._steps(cfg, 1.0, 1.0 / (cap + 1), 200, 5, "the check")
 
     def test_boost_explicit_stride_one(self):
         # 504 steps: an explicit stride of 1 logs every one, where an
@@ -852,6 +868,13 @@ class TestCli:
         err = self._run_rejected(tmp_path, capsys, scenario,
                                  f"scenario = {scenario}\n{text}")
         assert "t_end/dt = " in err
+
+    @pytest.mark.parametrize("scenario", ["figure1", "boost", "ehrenfest"])
+    def test_runaway_step_count(self, tmp_path, capsys, scenario):
+        # dt = 1e-12 planned 2e11 steps or more, and the run started
+        err = self._run_rejected(tmp_path, capsys, scenario,
+                                 f"scenario = {scenario}\ndt = 1e-12\n")
+        assert "above the cap of 10000000" in err
 
     def test_ehrenfest_vanishing_t_end(self, tmp_path, capsys):
         # far below one default step: one step, too few outputs, not a
