@@ -12,9 +12,10 @@ are fused into one exp(-i V dt / hbar); at an output the same value
 feeds the logged energy.  The mean-field trap's V, and the sphere
 kernel's (F(u) = c0 + c2 u^2), is quadratic in x: a fixed phase times a
 plane wave from two tables of about sqrt(n) exponentials and a constant,
-so a step takes two or three moments of the density, and V_self is
-built at outputs alone; other kernels convolve once a step.  Imaginary
-time relaxes the trap model under the same family and energy.
+so a step takes two or three moments of the density.  V_self is built
+at outputs alone, the sphere kernel's from those moments with no
+convolution; other kernels convolve once a step.  Imaginary time relaxes
+the trap model under the same family and energy.
 
 The loop is a stream: a :class:`StrangRun` yields each output frame as
 it is logged.  :func:`run_lockstep` advances several runs together and
@@ -155,8 +156,8 @@ def _density(vals: np.ndarray) -> np.ndarray:
 class _Family:
     """The potential a Strang run steps under: V = v_ext + V_self[psi].
 
-    ``self_potential`` maps field values to V_self and is None for a
-    static potential.  The interaction energy is
+    ``self_potential`` maps field values to V_self; None for a static
+    potential and the sphere kernel.  The interaction energy is
     ``energy_weight * int V_self |psi|^2 dx``: 1 for the mean-field trap
     (homogeneous of degree one in the density), 1/2 for a pair kernel
     (degree two).  A nonzero ``k_self`` marks a V_self stepped in closed
@@ -185,21 +186,21 @@ def _self_trap_family(grid: Grid1D, model: HarmonicModelParams) -> _Family:
 def _kernel_family(psi0: WaveField, kernel: ConvolutionKernel, v_ext) -> _Family:
     """V_ext plus the convolution self-potential of ``kernel``.
 
-    For F(u) = c0 + c2 u^2, coupling dx sum_m rho_m F(x - x_m) is exactly
-    offset + k_self ((x - X)^2 + Var) / 2, offset = coupling dx c0 N and
-    k_self = 2 coupling dx c2 N with N = sum rho at t = 0 (the step is unitary).
+    For F(u) = c0 + c2 u^2 it is exactly offset + k_self ((x - X)^2 + Var) / 2,
+    offset = coupling dx c0 N, k_self = 2 coupling dx c2 N, N = sum rho at
+    t = 0 (the step is unitary): a closed form that never convolves.
     """
-    grid = psi0.grid
+    v_ext = np.asarray(v_ext, dtype=float)
+    if isinstance(kernel.fn, _SphereQuadratic):
+        c0, c2 = kernel.fn.coefficients()
+        pair_n = kernel.coupling * psi0.grid.dx * np.vdot(psi0.values, psi0.values).real
+        if k_self := 2.0 * c2 * pair_n:  # else it underflowed: convolve
+            return _Family(v_ext, None, 0.5, k_self, c0 * pair_n)
 
     def self_potential(vals):
-        return convolution_self_potential(WaveField(grid, vals), kernel)
+        return convolution_self_potential(WaveField(psi0.grid, vals), kernel)
 
-    v_ext = np.asarray(v_ext, dtype=float)
-    if not isinstance(kernel.fn, _SphereQuadratic):
-        return _Family(v_ext, self_potential, 0.5)
-    c0, c2 = kernel.fn.coefficients()
-    pair_n = kernel.coupling * grid.dx * np.vdot(psi0.values, psi0.values).real
-    return _Family(v_ext, self_potential, 0.5, 2.0 * c2 * pair_n, c0 * pair_n)
+    return _Family(v_ext, self_potential, 0.5)
 
 
 def _trap_phase(grid: Grid1D, v_ext: np.ndarray, k_self: float, f: complex):
@@ -273,8 +274,8 @@ class _Recorder:
         if not math.isfinite(n2):
             raise NonFiniteFieldError(t)
         if self.family.k_self:  # v_self is (<x>, constant): build V_self
-            v_self = (_self_trap(x, rho, self.family.k_self)
-                      if self.family.offset is None else self.family.self_potential(vals))
+            v_self = (_self_trap(x, rho, self.family.k_self) if self.family.offset is None
+                      else v_self[1] + 0.5 * self.family.k_self * (x - v_self[0]) ** 2)
         self.check_boundary(t, rho)
         if n2 > 0:
             mean = float((rho * x).sum() * dx / n2)
@@ -282,7 +283,7 @@ class _Recorder:
         else:
             mean = mean2 = 0.0
         energy = _energy(vals, rho, self.family, v_self, self.grid, self.phys)
-        fld = WaveField(self.grid, vals.copy()) if self.spec.store_fields else None
+        fld = WaveField(self.grid, vals) if self.spec.store_fields else None
         self.log.append(t, mean, mean2, n2, energy, fld)
 
 
@@ -367,7 +368,7 @@ class StrangRun:
         k = grid.wavenumbers
         kin_phase = np.exp(-1j * phys.hbar * k * k * dt / (2.0 * phys.mass))
         half_factor = -1j * dt / (2.0 * phys.hbar)
-        static = family.self_potential is None
+        static = family.self_potential is None and not family.k_self
         closed_form = family.k_self != 0.0
         if static:
             # a fixed potential needs its two phase factors only once

@@ -308,6 +308,16 @@ def _fusion_case(family):
                                                     kernel), 0.5)
 
 
+def _reference_energy(vals, v_ext, v_self, weight):
+    """<T> + <v_ext> + weight <v_self> of ``vals`` on SMALL."""
+    k = SMALL.wavenumbers
+    ft = np.fft.fft(vals)
+    kinetic = (PHYS.hbar**2 / (2.0 * PHYS.mass) * np.sum(k * k * np.abs(ft) ** 2)
+               * SMALL.dx / SMALL.n_points)
+    rho = np.abs(vals) ** 2
+    return kinetic + np.sum((v_ext + weight * v_self) * rho) * SMALL.dx
+
+
 def _unfused_reference(psi0, v_self, weight, spec):
     """Textbook Strang: two potential evaluations, two half-steps a step.
 
@@ -319,11 +329,7 @@ def _unfused_reference(psi0, v_self, weight, spec):
     half = -0.5j * spec.dt / PHYS.hbar
 
     def energy(vals):
-        ft = np.fft.fft(vals)
-        kinetic = (PHYS.hbar**2 / (2.0 * PHYS.mass) * np.sum(k * k * np.abs(ft) ** 2)
-                   * SMALL.dx / SMALL.n_points)
-        rho = np.abs(vals) ** 2
-        return kinetic + np.sum((v_ext + weight * v_self(vals)) * rho) * SMALL.dx
+        return _reference_energy(vals, v_ext, v_self(vals), weight)
 
     vals = psi0.values.copy()
     times, fields, energies = [0.0], [vals.copy()], [energy(vals)]
@@ -445,8 +451,24 @@ class TestSphereKernel:
         spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
         log, _ = evolve_kernel(psi0, SPHERE_KERNEL, harmonic_external(SMALL, 1.0),
                                spec, PHYS)
-        # one for each logged energy, none for the steps themselves
-        assert len(calls) == len(log.times) == spec.n_steps // stride + 1
+        # the steps and the logged energies alike take V_self from moments
+        assert len(log.times) == spec.n_steps // stride + 1
+        assert calls == []
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("k_ext", [0.0, 1.0], ids=["free", "trapped"])
+    def test_logged_energy_is_the_convolution_energy(self, k_ext, stride):
+        # the one energy rule, with V_self convolved from each kept frame
+        psi0 = gaussian_packet(SMALL, 0.7, 0.6, velocity=1.5)
+        v_ext = harmonic_external(SMALL, k_ext)
+        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
+        log, _ = evolve_kernel(psi0, SPHERE_KERNEL, v_ext, spec, PHYS)
+        want = np.array([
+            _reference_energy(f.values, v_ext,
+                              convolution_self_potential(f, SPHERE_KERNEL), 0.5)
+            for f in log.fields])
+        assert len(want) == spec.n_steps // stride + 1
+        assert np.all(np.abs(np.asarray(log.energy) - want) <= 1e-12 * np.abs(want))
 
 
 class TestLockstep:

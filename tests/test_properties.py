@@ -8,7 +8,14 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from snsim.errors import ConfigError, SimulationError
-from snsim.fields import Grid1D, WaveField, moments, phase_amplitude
+from snsim.fields import Grid1D, WaveField, gaussian_packet, moments, phase_amplitude
+from snsim.potentials import (
+    HarmonicModelParams,
+    PhysParams,
+    convolution_self_potential,
+    sphere_quadratic_kernel,
+)
+from snsim.propagate import _kernel_family
 from snsim.scenarios import (
     SCENARIOS,
     ScenarioConfig,
@@ -162,3 +169,23 @@ def test_moments_gauge_and_scaling(f, theta, lam):
               f.with_values(lam * f.values)):
         for got, want in zip(moments(g), base):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+@PROPERTY
+@given(st.integers(1, 12), _finite(-3.0, 3.0), _finite(0.3, 2.0),
+       _finite(0.5, 50.0))
+def test_sphere_moment_form_is_the_convolution(log2_n, center, width, radius):
+    # the V_self a sphere-kernel run logs its energy with, from the moments
+    n = 2**log2_n
+    grid = Grid1D(n, -8.0, 8.0)
+    psi = gaussian_packet(grid, center, width, velocity=1.0)
+    kernel = sphere_quadratic_kernel(PhysParams(), HarmonicModelParams(
+        k_ext=0.0, k_self=0.0, sphere_mass=1.0, sphere_radius=radius))
+    family = _kernel_family(psi, kernel, np.zeros(n))
+    x = grid.nodes
+    rho = np.abs(psi.values) ** 2
+    mean = (rho * x).sum() / rho.sum()
+    variance = (rho * x * x).sum() / rho.sum() - mean * mean
+    moment_form = family.offset + 0.5 * family.k_self * ((x - mean) ** 2 + variance)
+    want = convolution_self_potential(psi, kernel)
+    assert np.max(np.abs(moment_form - want)) <= 1e-12 * np.max(np.abs(want))

@@ -83,6 +83,15 @@ PLAN_RULES = {
                             "plans 1.98692e+11 steps, above the cap"),
     "ehrenfest-runaway-steps": ({"scenario": "ehrenfest", "n_points": 1024}, "dt",
                                 1e-12, "plans 2e+12 steps, above the cap"),
+    # ran, dividing the trapped run's mean-motion residual by max|k_ext <x>|:
+    # a RuntimeWarning and trapped_rel = inf, or 1e299, reported as a FAIL
+    "ehrenfest-subnormal-k_ext": ({"scenario": "ehrenfest", "n_points": 1024,
+                                   "mass": 1e10, "G": 1e-320}, "k_ext", 5e-324,
+                                  "ehrenfest needs normal, finite scales: k_ext"),
+    "ehrenfest-subnormal-omega_sq": ({"scenario": "ehrenfest", "n_points": 1024,
+                                      "k_ext": 1e-300}, "mass", 1e10,
+                                     "ehrenfest needs normal, finite scales: "
+                                     "omega_sq = 1e-310"),
     "sphere-stiffness": ({"n_points": 1024, "sphere_radius": 1.0},
                          "sphere_mass", 1e200, "is not a finite number"),
     # a velocity below half the grid's step used to run a packet at rest
@@ -274,11 +283,13 @@ class TestRunPlan:
             "the grid [-inf, inf) has no finite length"]
 
     def test_ehrenfest_underflowed_frequency_bounds_no_dt(self):
-        # (k_ext + k_self) / mass underflows to 0: no accuracy bound, and
-        # no division by a zero frequency
+        # (k_ext + k_self) / mass underflows to 0: no accuracy bound to
+        # divide by a zero frequency, and the subnormal scales are refused
+        # before the mean-motion residual divides by k_ext <x>
         cfg = ScenarioConfig(scenario="ehrenfest", k_ext=5e-324, mass=1e10,
                              G=1e-320)
-        assert validate_config(cfg) == []
+        assert validate_config(cfg) == [
+            "ehrenfest needs normal, finite scales: k_ext = 5e-324, omega_sq = 0.0"]
 
     def test_refused_run_leaves_no_directory(self, tmp_path):
         out = tmp_path / "run"
@@ -875,6 +886,21 @@ class TestCli:
         err = self._run_rejected(tmp_path, capsys, scenario,
                                  f"scenario = {scenario}\ndt = 1e-12\n")
         assert "above the cap of 10000000" in err
+
+    @pytest.mark.parametrize("text", [
+        "k_ext = 5e-324\nmass = 1e10\nG = 1e-320\n",
+        "k_ext = 1e-300\nmass = 1e10\n",
+    ], ids=["subnormal-k_ext", "subnormal-omega_sq"])
+    def test_ehrenfest_subnormal_trap(self, tmp_path, capsys, recwarn, text):
+        # the mean-motion residual divided by max|k_ext <x>|: an overflow
+        # RuntimeWarning and trapped_rel = inf (1e299 for the second), a
+        # FAIL with exit 1
+        err = self._run_rejected(tmp_path, capsys, "ehrenfest",
+                                 f"scenario = ehrenfest\n{text}")
+        assert "ehrenfest needs normal, finite scales" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "out").exists()
 
     def test_ehrenfest_vanishing_t_end(self, tmp_path, capsys):
         # far below one default step: one step, too few outputs, not a
