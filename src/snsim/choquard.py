@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, require_normal
 from .potentials import PhysParams
 
 logger = logging.getLogger(__name__)
@@ -64,6 +64,14 @@ class RadialGrid:
             errors.append("r_max must be > 0")
         if errors:
             raise ConfigError(errors)
+        # the kinetic coefficient divides by dr^2, and the relaxation's seed
+        # exp(-r^2 / (2 SEED_WIDTH^2)) underflows on nodes far coarser than it
+        require_normal(f"r_max = {self.r_max!r} on radial_points = {self.n_points}",
+                       dr=self.dr, dr_sq=self.dr * self.dr)
+        if self.dr > SEED_WIDTH:
+            raise ConfigError(
+                f"r_max / radial_points = {self.dr:.4g} does not resolve the "
+                f"relaxation seed's width {SEED_WIDTH:g}: dr must be at most that")
 
     @property
     def dr(self) -> float:

@@ -1,6 +1,9 @@
-"""Exception types shared across the simulation and analysis modules."""
+"""Exception types shared across the simulation and analysis modules,
+and the normal-scale rule that states a refused scale as a ConfigError."""
 
 import copyreg
+import math
+import sys
 
 
 class SimulationError(Exception):
@@ -24,6 +27,15 @@ class ConfigError(SimulationError):
             errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+def require_normal(owner: str, **scales) -> None:
+    """Refuse ``owner``'s scales that are subnormal, zero or infinite: the
+    rules and runs that divide by them, or square them, need normal floats."""
+    bad = [f"{name} = {value!r}" for name, value in scales.items()
+           if not sys.float_info.min <= value < math.inf]
+    if bad:
+        raise ConfigError(f"{owner} needs normal, finite scales: " + ", ".join(bad))
 
 
 class DegenerateInputError(SimulationError):

@@ -37,7 +37,7 @@ from .choquard import (
     spectrum_value,
     write_result_records,
 )
-from .errors import BoundaryLeakError, ConfigError, SimulationError
+from .errors import BoundaryLeakError, ConfigError, SimulationError, require_normal
 from .fields import Grid1D, WaveField, gaussian_packet, moments, normalized
 from .guidance import (
     decompose_samples,
@@ -392,6 +392,13 @@ def _norm_drift(*logs) -> float:
                for n in (np.asarray(log.norm_sq) for log in logs))
 
 
+def _mean_motion_floor(mass: float, h: float, x_max: float) -> float:
+    """Roundoff floor of the residual m <x>'' + k <x> over outputs ``h``
+    apart on nodes |x| <= ``x_max``: each logged mean is off by up to
+    eps x_max, and the 5-point stencil weighs its points by 64/12 over h^2."""
+    return mass * (64.0 / 12.0) * sys.float_info.epsilon * x_max / h / h
+
+
 def _mean_motion_residual(mean: np.ndarray, h: float, k: float,
                           mass: float) -> float:
     """Relative residual of the mean-motion law m <x>'' + k <x> = 0."""
@@ -463,7 +470,7 @@ def _figure1_physics(cfg: ScenarioConfig):
     if model.k_ext <= 0:
         raise ConfigError("figure1 needs k_ext > 0")
     omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
-    _require_normal("figure1", k_ext=model.k_ext, omega_fast=omega_fast)
+    require_normal("figure1", k_ext=model.k_ext, omega_fast=omega_fast)
     return phys, model, omega_fast
 
 
@@ -475,16 +482,6 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _require_normal(scenario: str, **scales) -> None:
-    """Refuse ``scenario`` scales that are subnormal or infinite: figure1's
-    window t_end = 4 pi / omega_fast, the widths and the mean-motion
-    residuals divide by them, or overflow."""
-    bad = [f"{name} = {value!r}" for name, value in scales.items()
-           if not sys.float_info.min <= value < math.inf]
-    if bad:
-        raise ConfigError(f"{scenario} needs normal, finite scales: " + ", ".join(bad))
-
-
 def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
     cfg = resolve_sweep_window(cfg)  # sets t_end and pilot_width
     phys, model, omega_fast = _figure1_physics(cfg)
@@ -494,8 +491,8 @@ def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
                     else soliton_width_param(model, phys)))
     half = (9.0 * math.sqrt(0.5 * _square(cfg.pilot_width))
             + 4.0 * (abs(cfg.init_center) + 1.0))
-    _require_normal("figure1", t_end=cfg.t_end, pilot_width=cfg.pilot_width,
-                    init_width=cfg.init_width, grid_half_width=half)
+    require_normal("figure1", t_end=cfg.t_end, pilot_width=cfg.pilot_width,
+                   init_width=cfg.init_width, grid_half_width=half)
     grid = _grid(cfg, math.ceil(half), min(cfg.init_width, cfg.pilot_width))
     # 200 steps per fast period keeps the width dynamics (the stiffest
     # observable) within the 1e-3 oracle-equivalence budget
@@ -659,6 +656,8 @@ def _plan_boost(cfg: ScenarioConfig) -> RunPlan:
         raise ConfigError("boost scenario needs k_self > 0")
     omega = math.sqrt(model.k_self / phys.mass)
     period = 2.0 * math.pi / omega
+    # the default t_end and dt are the period and a 2000th of it
+    require_normal("boost", omega=omega, period=period)
     spec = _steps(cfg, period, period / 2000.0, 50, 2, "the boost velocity")
     _check_dt_accuracy(spec, omega)
     grid = _grid(cfg, 16.0, soliton_width_param(model, phys))
@@ -787,8 +786,11 @@ class ChoquardScenarioResult:
 
 
 def _plan_choquard(cfg: ScenarioConfig) -> RunPlan:
-    return RunPlan(cfg, _resolve_phys(cfg), None,
-                   RadialGrid(cfg.radial_points, cfg.r_max))
+    phys = _resolve_phys(cfg)
+    grid = RadialGrid(cfg.radial_points, cfg.r_max)
+    # the solver's kinetic coefficient is hbar^2 / (2 M dr^2)
+    require_normal("choquard", mass_dr_sq=phys.mass * grid.dr * grid.dr)
+    return RunPlan(cfg, phys, None, grid)
 
 
 def build_choquard(cfg: ScenarioConfig) -> ChoquardScenarioResult:
@@ -841,6 +843,10 @@ class EhrenfestResult:
         ]
 
 
+# where ehrenfest's trapped packet starts, at rest
+_TRAPPED_CENTER = 1.5
+
+
 def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
     stray = [f"ehrenfest takes no {name}: sphere_mass and sphere_radius set "
              f"its interaction" for name in ("k_self", "stiffness_ratio")
@@ -856,10 +862,21 @@ def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
     if model.k_ext <= 0.0:
         raise ConfigError("ehrenfest needs k_ext > 0 for its trapped run")
     # the trapped run's mean-motion residual divides by k_ext <x>
-    _require_normal("ehrenfest", k_ext=model.k_ext, omega_sq=model.k_ext / phys.mass)
+    require_normal("ehrenfest", k_ext=model.k_ext, omega_sq=model.k_ext / phys.mass)
     grid = _grid(cfg, 32.0, cfg.init_width)
     spec = _steps(cfg, 2.0, 2e-3, 200, 5, "the mean-motion check")
     _check_dt_accuracy(spec, math.sqrt((model.k_ext + model.k_self) / phys.mass))
+    # the trapped packet starts at rest, so its mean x0 cos(omega t) peaks
+    # at x0: a residual scale under the roundoff floor fails a correct run
+    scale = model.k_ext * _TRAPPED_CENTER
+    floor = _mean_motion_floor(phys.mass, spec.dt * spec.output_stride,
+                               max(abs(grid.x_min), abs(grid.x_max)))
+    if floor > EHRENFEST_TOL * scale:
+        raise ConfigError(
+            f"trapped-ehrenfest divides its residual by max|k_ext <x>| = "
+            f"{scale:.3g}; its roundoff floor {floor:.3g} would exceed the "
+            f"tolerance {EHRENFEST_TOL:g} of that: raise k_ext or the output "
+            f"interval")
     return RunPlan(cfg, phys, model, grid, spec,
                    sphere_quadratic_kernel(phys, model))
 
@@ -891,7 +908,8 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     with ThreadPoolExecutor(max_workers=2) as pool:
         free = pool.submit(run, -2.0, _grid_velocity(grid, phys, 1.0),
                            np.zeros(grid.n_points))
-        trap = pool.submit(run, 1.5, 0.0, harmonic_external(grid, model.k_ext))
+        trap = pool.submit(run, _TRAPPED_CENTER, 0.0,
+                           harmonic_external(grid, model.k_ext))
         log_free, log_trap = free.result(), trap.result()
     h = log_free.times[1] - log_free.times[0]
     metrics = {

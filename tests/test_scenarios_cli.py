@@ -98,6 +98,28 @@ PLAN_RULES = {
     "boost-velocity-snap": ({"scenario": "boost", "n_points": 256, "x_min": -4.0,
                              "x_max": 4.0}, "init_velocity", 0.3,
                             "the boost velocity rounds to 0"),
+    # the period underflowed to 0: validate_config raised ZeroDivisionError
+    # from the step count's t_end / dt
+    "boost-subnormal-mass": ({"scenario": "boost"}, "mass", 5e-324,
+                             "boost needs normal, finite scales: omega = inf, "
+                             "period = 0.0"),
+    # dr underflowed to 0: a ZeroDivisionError traceback from the kinetic
+    # coefficient hbar^2 / (2 M dr dr)
+    "choquard-r_max-underflow": ({"scenario": "choquard"}, "r_max", 5e-324,
+                                 "needs normal, finite scales: dr = 0.0"),
+    # the relaxation seed underflowed to 0 on every node: scipy's
+    # "array must not contain infs or NaNs" traceback
+    "choquard-r_max-coarse": ({"scenario": "choquard"}, "r_max", 1e7,
+                              "r_max / radial_points = 2441 does not resolve"),
+    # M dr^2 underflowed to 0: the same ZeroDivisionError traceback
+    "choquard-subnormal-mass": ({"scenario": "choquard"}, "mass", 5e-324,
+                                "choquard needs normal, finite scales: "
+                                "mass_dr_sq = 0.0"),
+    # ran, and roundoff in the mean-motion residual read 15.9 times the
+    # scale max|k_ext <x>| of a correct run: a FAIL with exit 1
+    "ehrenfest-weak-trap": ({"scenario": "ehrenfest", "n_points": 1024}, "k_ext",
+                            1e-12, "trapped-ehrenfest divides its residual by "
+                            "max|k_ext <x>| = 1.5e-12; its roundoff floor"),
 }
 
 
@@ -900,6 +922,34 @@ class TestCli:
         assert "ehrenfest needs normal, finite scales" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("r_max, fragment", [
+        ("5e-324", "dr = 0.0, dr_sq = 0.0"),
+        ("1e7", "does not resolve the relaxation seed's width 3"),
+    ])
+    def test_choquard_r_max_refused(self, tmp_path, capsys, r_max, fragment):
+        # a ZeroDivisionError traceback, and one from scipy's solve
+        err = self._run_rejected(tmp_path, capsys, "choquard",
+                                 f"scenario = choquard\nr_max = {r_max}\n")
+        assert fragment in err
+        assert not (tmp_path / "out").exists()
+
+    def test_boost_subnormal_mass(self, tmp_path, capsys):
+        # validate_config raised ZeroDivisionError from t_end / dt
+        err = self._run_rejected(tmp_path, capsys, "boost",
+                                 "scenario = boost\nmass = 5e-324\n")
+        assert "boost needs normal, finite scales: omega = inf" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k_ext", ["1e-12", "1e-200"])
+    def test_ehrenfest_weak_trap(self, tmp_path, capsys, k_ext):
+        # a correct run reported FAIL trapped-ehrenfest: value=15.9 (and
+        # 1.4e189), exit 1, its residual scale under the roundoff floor
+        err = self._run_rejected(tmp_path, capsys, "ehrenfest",
+                                 f"scenario = ehrenfest\nk_ext = {k_ext}\n")
+        assert "trapped-ehrenfest divides its residual by max|k_ext <x>|" in err
+        assert "roundoff floor 3.79e-10" in err
         assert not (tmp_path / "out").exists()
 
     def test_ehrenfest_vanishing_t_end(self, tmp_path, capsys):

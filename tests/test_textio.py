@@ -8,17 +8,23 @@ byte, and each formatted value must match ``'%.17g' % v``.
 import csv
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import snsim.scenarios
 from snsim.cli import main
-from snsim.fields import Grid1D, WaveField
+from snsim.fields import Grid1D, WaveField, gaussian_packet
 from snsim.guidance import CSV_COLUMNS, VelocityDecomposition, write_guidance_csv
 from snsim.oracles import write_series_csv
-from snsim.propagate import TrajectoryLog, read_snapshot, write_snapshots
-from snsim.textio import _BLOCK_ROWS, _tables, format_cells
+from snsim.propagate import (
+    SnapshotWriter,
+    TrajectoryLog,
+    read_snapshot,
+    write_snapshots,
+)
+from snsim.textio import _BLOCK_ROWS, _tables, format_cells, write_table
 
 # more than one block, and not a whole number of them
 GRID = Grid1D(2048, -7.3, 11.9)
@@ -91,6 +97,28 @@ def assert_percent(values):
     return fallbacks
 
 
+def notation(text):
+    """Python's notation of a '%.17g' text: "e", or fixed with X < 0 ("0.")
+    or with X >= 0 ("d")."""
+    return "e" if "e" in text else "0." if abs(float(text)) < 1 else "d"
+
+
+def trailing_zeros(text):
+    """How many of the 17 significant digits behind a '%.17g' text are 0."""
+    digits = text.lstrip("-").split("e")[0].replace(".", "").strip("0")
+    return 17 - len(digits)
+
+
+def notation_columns(rng, n):
+    """Columns of n values in each notation, and one that mixes them."""
+    sign = rng.choice([-1.0, 1.0], size=(4, n))
+    tiny_or_huge = 10.0 ** np.concatenate([rng.uniform(-300, -5, n // 2),
+                                           rng.uniform(17, 300, n - n // 2)])
+    columns = [tiny_or_huge, rng.uniform(1e-4, 1.0, n), 10.0 ** rng.uniform(0, 17, n)]
+    columns.append(rng.permutation(np.concatenate(columns))[:n])
+    return list(sign * columns)
+
+
 def test_grid_spans_a_partial_block():
     assert GRID.n_points > _BLOCK_ROWS
     assert GRID.n_points % _BLOCK_ROWS != 0
@@ -143,6 +171,28 @@ class TestTables:
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
 
+    def test_notations_over_a_block_edge(self, tmp_path):
+        columns = notation_columns(np.random.default_rng(4), _BLOCK_ROWS + 3)
+        assert {notation("%.17g" % v) for v in columns[3]} == {"e", "0.", "d"}
+        size, _ = write_table(tmp_path / "new.csv", "e,0.,d,mixed", columns)
+        reference_table(tmp_path / "ref.csv", "e,0.,d,mixed", columns, ",")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert size == (tmp_path / "ref.csv").stat().st_size
+
+    def test_snapshot_write_memory(self, tmp_path):
+        # one 4,096-node frame: the 56-byte cells in blocks of 1,000 rows
+        # peaked at 0.84 MB, the 32-byte cells at 0.71 MB
+        writer = SnapshotWriter(tmp_path)
+        fld = gaussian_packet(Grid1D(4096, -60.0, 60.0), 1.3, 5.6, velocity=0.3)
+        writer.write(0.0, fld)  # formats the nodes and builds the tables
+        tracemalloc.start()
+        try:
+            writer.write(0.1, fld)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8e6
+
     @pytest.mark.parametrize("n_rows", [0, 1, 303, _BLOCK_ROWS + 3])
     def test_guidance_csv_bytes(self, tmp_path, n_rows):
         rng = np.random.default_rng(5)
@@ -175,6 +225,48 @@ class TestFormatter:
         tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
         up, down = np.nextafter(tens, np.inf), np.nextafter(tens, 0.0)
         assert_percent(np.concatenate([tens, up, down, -tens, -up, -down]))
+
+    def test_point_inside_the_digits(self):
+        # fixed notation with 1 <= X <= 16 is the only place the point moves
+        # ...56.8 is the float ...56.75, a tie at 17 digits, so '%' formats it
+        values = [123.5, -99.25, 1234567890123456.8, 1234567890123456.5, 1e16 - 2,
+                  10.5, -1e15 - 0.5]
+        assert texts(values) == (["123.5", "-99.25", "1234567890123456.8",
+                                  "1234567890123456.5", "9999999999999998", "10.5",
+                                  "-1000000000000000.5"], 1)
+        rng = np.random.default_rng(14)
+        for x in range(1, 17):
+            assert_percent(rng.uniform(-1, 1, 2000) * 10.0 ** (x + 1))
+
+    def test_every_trailing_zero_count(self):
+        # exact dyadic and decimal values: D has 0 to 16 trailing zeros in
+        # each notation
+        rng = np.random.default_rng(15)
+        odd = np.concatenate([np.arange(1, 400, 2), rng.integers(1, 2**53, 100) | 1])
+        whole = np.concatenate([np.arange(1, 2000),
+                                (10.0 ** rng.uniform(4, 15, 300)).astype(np.int64)])
+        values = np.concatenate([odd * 2.0**p for p in range(-80, 80)]
+                                + [whole * 10.0**e for e in range(23)])
+        values = np.concatenate([values, -values])
+        assert_percent(values)
+        seen = {}
+        for text in ("%.17g" % v for v in values.tolist()):
+            seen.setdefault(notation(text), set()).add(trailing_zeros(text))
+        assert seen == {"e": set(range(17)), "0.": set(range(17)),
+                        "d": set(range(17))}
+
+    def test_notation_edges(self):
+        # '%g' turns fixed at X = -4 and exponential at X = 17; 1e16 and
+        # 1e17 are exact, D = 10^16 sits on a range edge and goes to '%'
+        values = [0.0, -0.0, 2.0**-14, 2.0**-13, 1e-4, 2.0**54, 1e16, 1e17, 2.0**57]
+        assert texts(values) == (["0", "-0", "6.103515625e-05", "0.0001220703125",
+                                  "0.0001", "18014398509481984", "10000000000000000",
+                                  "1e+17", "1.4411518807585587e+17"], 2)
+        rng = np.random.default_rng(16)
+        for edge in (1e-4, 1e17):
+            near = edge * np.exp(rng.uniform(-0.5, 0.5, 20_000))
+            ties = np.concatenate([near, np.nextafter(near, 0.0)])
+            assert_percent(np.concatenate([ties, -ties]))
 
     def test_subnormals_zeros_and_non_finite(self):
         rng = np.random.default_rng(9)
