@@ -8,14 +8,13 @@ and never changes |psi|, so a density-built potential evaluated right
 after the kinetic step closes step n and opens step n + 1: one
 evaluation per step, at the midpoint density, which keeps the scheme
 second order and time reversible.  Between outputs the two half-steps
-are fused into one exp(-i V dt / hbar); at an output the same value
-feeds the logged energy.  The mean-field trap's V, and the sphere
-kernel's (F(u) = c0 + c2 u^2), is quadratic in x: a fixed phase times a
-plane wave from two tables of about sqrt(n) exponentials and a constant,
-so a step takes two or three moments of the density.  V_self is built
-at outputs alone, the sphere kernel's from those moments with no
-convolution; other kernels convolve once a step.  Imaginary time relaxes
-the trap model under the same family and energy.
+are fused into one exp(-i V dt / hbar).  The mean-field trap's V, and
+the sphere kernel's (F(u) = c0 + c2 u^2), is quadratic in x: a fixed
+phase times a plane wave from two tables of about sqrt(n) exponentials
+and a constant, so a step takes two or three moments of the density and
+never builds V_self; other kernels convolve once a step.  An output logs
+the moments and the norm, and keeps the frame if asked.  Imaginary time
+relaxes the trap model under the mean-field potential and its energy.
 
 The loop is a stream: a :class:`StrangRun` yields each output frame as
 it is logged.  :func:`run_lockstep` advances several runs together and
@@ -107,22 +106,23 @@ class EvolutionSpec:
 
 
 class TrajectoryLog:
-    """Per-output-time record of moments, norm, energy and snapshots."""
+    """Per-output-time record of moments, norm and snapshots."""
 
     def __init__(self, store_fields: bool):
         self.times: List[float] = []
         self.mean_x: List[float] = []
         self.mean_x2: List[float] = []
         self.norm_sq: List[float] = []
-        self.energy: List[float] = []
         self.fields: Optional[List[WaveField]] = [] if store_fields else None
 
-    def append(self, t, mean_x, mean_x2, norm_sq, energy, fld=None):
+    def append(self, t, mean_x, mean_x2, norm_sq, energy=None, fld=None):
+        """Log one output time.  ``energy`` is taken and dropped: a run logs
+        no energy, and callers that still pass one in the fifth place (the
+        benchmark's snapshot kernel) keep working."""
         self.times.append(t)
         self.mean_x.append(mean_x)
         self.mean_x2.append(mean_x2)
         self.norm_sq.append(norm_sq)
-        self.energy.append(energy)
         if self.fields is not None:
             self.fields.append(fld)
 
@@ -132,7 +132,6 @@ class TrajectoryLog:
             np.asarray(self.mean_x),
             np.asarray(self.mean_x2),
             np.asarray(self.norm_sq),
-            np.asarray(self.energy),
         )
 
 
@@ -156,31 +155,17 @@ def _density(vals: np.ndarray) -> np.ndarray:
 class _Family:
     """The potential a Strang run steps under: V = v_ext + V_self[psi].
 
-    ``self_potential`` maps field values to V_self; None for a static
-    potential and the sphere kernel.  The interaction energy is
-    ``energy_weight * int V_self |psi|^2 dx``: 1 for the mean-field trap
-    (homogeneous of degree one in the density), 1/2 for a pair kernel
-    (degree two).  A nonzero ``k_self`` marks a V_self stepped in closed
-    form: k_self (x - <x>)^2 / 2, plus k_self Var / 2 + ``offset`` if set.
+    A nonzero ``k_self`` marks a V_self stepped in closed form:
+    k_self (x - <x>)^2 / 2, plus k_self Var / 2 + ``offset`` if set (the
+    sphere kernel's global phase).  Otherwise ``self_potential`` maps field
+    values to V_self (a convolution kernel), or is None for a static
+    potential.
     """
 
     v_ext: np.ndarray
     self_potential: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    energy_weight: float = 1.0
     k_self: float = 0.0
     offset: Optional[float] = None
-
-
-def _self_trap_family(grid: Grid1D, model: HarmonicModelParams) -> _Family:
-    """The trap k_ext x^2/2 plus the mean-field self-trap; static at k_self = 0."""
-    x = grid.nodes
-
-    def self_potential(vals):
-        return _self_trap(x, _density(vals), model.k_self)
-
-    return _Family(harmonic_external(grid, model.k_ext),
-                   self_potential if model.k_self != 0.0 else None,
-                   k_self=model.k_self)
 
 
 def _kernel_family(psi0: WaveField, kernel: ConvolutionKernel, v_ext) -> _Family:
@@ -195,12 +180,12 @@ def _kernel_family(psi0: WaveField, kernel: ConvolutionKernel, v_ext) -> _Family
         c0, c2 = kernel.fn.coefficients()
         pair_n = kernel.coupling * psi0.grid.dx * np.vdot(psi0.values, psi0.values).real
         if k_self := 2.0 * c2 * pair_n:  # else it underflowed: convolve
-            return _Family(v_ext, None, 0.5, k_self, c0 * pair_n)
+            return _Family(v_ext, k_self=k_self, offset=c0 * pair_n)
 
     def self_potential(vals):
         return convolution_self_potential(WaveField(psi0.grid, vals), kernel)
 
-    return _Family(v_ext, self_potential, 0.5)
+    return _Family(v_ext, self_potential)
 
 
 def _trap_phase(grid: Grid1D, v_ext: np.ndarray, k_self: float, f: complex):
@@ -227,24 +212,22 @@ def _trap_phase(grid: Grid1D, v_ext: np.ndarray, k_self: float, f: complex):
     return phase
 
 
-def _energy(vals: np.ndarray, rho: np.ndarray, family: _Family, v_self,
+def _energy(vals: np.ndarray, rho: np.ndarray, v_ext: np.ndarray, v_self,
             grid: Grid1D, phys: PhysParams) -> float:
-    """<T> + <v_ext> + energy_weight <V_self> of ``vals``, of density ``rho``."""
-    energy = _kinetic_energy(vals, grid, phys) + float(np.sum(family.v_ext * rho) * grid.dx)
+    """<T> + <v_ext> + <V_self> of ``vals``, of density ``rho``: the energy
+    of the mean-field trap, whose V_self is homogeneous of degree one in rho."""
+    energy = _kinetic_energy(vals, grid, phys) + float(np.sum(v_ext * rho) * grid.dx)
     if v_self is not None:
-        energy += family.energy_weight * float(np.sum(v_self * rho) * grid.dx)
+        energy += float(np.sum(v_self * rho) * grid.dx)
     return energy
 
 
 class _Recorder:
     """Per-output bookkeeping of a Strang run."""
 
-    def __init__(self, psi0: WaveField, spec: EvolutionSpec, phys: PhysParams,
-                 family: _Family):
+    def __init__(self, psi0: WaveField, spec: EvolutionSpec):
         self.grid = psi0.grid
         self.spec = spec
-        self.phys = phys
-        self.family = family
         self.log = TrajectoryLog(spec.store_fields)
         # states that touch the boundary from the start (plane waves) are
         # legitimately periodic; only compact states are policed
@@ -266,25 +249,21 @@ class _Recorder:
                 raise BoundaryLeakError(t, edge / peak, BOUNDARY_LEAK_THRESHOLD)
             self.edge_screen = math.sqrt(BOUNDARY_LEAK_THRESHOLD * peak)
 
-    def record(self, t: float, vals: np.ndarray, v_self):
+    def record(self, t: float, vals: np.ndarray):
         rho = _density(vals)
         dx = self.grid.dx
         x = self.grid.nodes
         n2 = float(rho.sum() * dx)
         if not math.isfinite(n2):
             raise NonFiniteFieldError(t)
-        if self.family.k_self:  # v_self is (<x>, constant): build V_self
-            v_self = (_self_trap(x, rho, self.family.k_self) if self.family.offset is None
-                      else v_self[1] + 0.5 * self.family.k_self * (x - v_self[0]) ** 2)
         self.check_boundary(t, rho)
         if n2 > 0:
             mean = float((rho * x).sum() * dx / n2)
             mean2 = float((rho * x * x).sum() * dx / n2)
         else:
             mean = mean2 = 0.0
-        energy = _energy(vals, rho, self.family, v_self, self.grid, self.phys)
         fld = WaveField(self.grid, vals) if self.spec.store_fields else None
-        self.log.append(t, mean, mean2, n2, energy, fld)
+        self.log.append(t, mean, mean2, n2, fld=fld)
 
 
 def _check_dt_accuracy(spec: EvolutionSpec, omega_fast: float):
@@ -312,7 +291,7 @@ class StrangRun:
             raise ConfigError("v_ext shape does not match the grid")
         if squared_norm(psi0) <= 0.0:
             raise DegenerateInputError("cannot evolve a zero-norm field")
-        self._rec = _Recorder(psi0, spec, phys, family)
+        self._rec = _Recorder(psi0, spec)
         self.log = self._rec.log
         self.final: Optional[WaveField] = None
         self._frames = self._step(psi0, family, spec, phys)
@@ -330,9 +309,8 @@ class StrangRun:
         """Evolution under the trap plus the mean-field self-trap.
 
         The potential is k_ext x^2/2 + k_self (x - <x>)^2/2 with <x> updated
-        self-consistently.  The conserved energy logged per output time is
-        <T> + <V_ext> + (k_self/2) N^2 Var, whose density derivative is
-        exactly the self potential.
+        self-consistently.  It conserves <T> + <V_ext> + <V_self>, the
+        energy :func:`imaginary_time_relax` lowers; the run does not log it.
         """
         ratio = sphere_validity_ratio(psi0, model)
         if ratio is not None and ratio > 0.2:
@@ -343,7 +321,9 @@ class StrangRun:
         omega_fast = math.sqrt((model.k_ext + model.k_self) / phys.mass)
         if omega_fast > 0:
             _check_dt_accuracy(spec, omega_fast)
-        return cls(psi0, _self_trap_family(psi0.grid, model), spec, phys)
+        # static at k_self = 0
+        return cls(psi0, _Family(harmonic_external(psi0.grid, model.k_ext),
+                                 k_self=model.k_self), spec, phys)
 
     @classmethod
     def kernel(cls, psi0: WaveField, kernel: ConvolutionKernel,
@@ -407,7 +387,7 @@ class StrangRun:
         rec = self._rec
         vals = psi0.values.copy()
         state = evaluate(vals, 0)
-        rec.record(0.0, vals, state)
+        rec.record(0.0, vals)
         yield 0.0, vals
         vals *= phase(state, 1)
         n_steps, stride = spec.n_steps, spec.output_stride
@@ -428,7 +408,7 @@ class StrangRun:
             half_phase = phase(state, 1)
             vals *= half_phase
             if step % stride == 0:
-                rec.record(step * dt, vals, state)
+                rec.record(step * dt, vals)
                 yield step * dt, vals
             if step < n_steps:
                 vals *= half_phase
@@ -507,7 +487,7 @@ def imaginary_time_relax(
     exp(-V dtau/2) exp(-T dtau) exp(-V dtau/2) with the potential of
     :func:`evolve_self_harmonic` rebuilt from the current field, then
     renormalizes to ``target_norm_sq``.  A step that raises the energy
-    evolve_self_harmonic logs beyond roundoff is rejected and dtau
+    <T> + <V_ext> + <V_self> beyond roundoff is rejected and dtau
     halved; a roundoff-sized rise keeps the current state and counts as
     a step of zero change.  So the recorded energy history is
     non-increasing.  Convergence is a relative energy change below
@@ -526,13 +506,15 @@ def imaginary_time_relax(
     if n0 <= 0.0:
         raise DegenerateInputError("seed state must have positive norm")
     vals = psi0.values * np.sqrt(target_norm_sq / n0)
-    family = _self_trap_family(grid, model)
+    x = grid.nodes
+    v_ext = harmonic_external(grid, model.k_ext)
 
     def evaluate(v):
         """The potential built from ``v``, and the energy of ``v``."""
-        v_self = family.self_potential(v) if family.self_potential else None
-        pot = family.v_ext if v_self is None else family.v_ext + v_self
-        return pot, _energy(v, _density(v), family, v_self, grid, phys)
+        rho = _density(v)
+        v_self = _self_trap(x, rho, model.k_self) if model.k_self != 0.0 else None
+        pot = v_ext if v_self is None else v_ext + v_self
+        return pot, _energy(v, rho, v_ext, v_self, grid, phys)
 
     dtau = RELAX_DTAU0
     pot, energy = evaluate(vals)

@@ -345,7 +345,8 @@ def soliton_width_param(model: HarmonicModelParams, phys: PhysParams) -> float:
 def _grid(cfg: ScenarioConfig, half: float, width: float) -> Grid1D:
     """4096 nodes on [-half, half); each config key overrides its own default.
     Refused with fewer than MIN_NODES_PER_WIDTH nodes on ``width``, the width
-    a of the narrowest packet the run starts from (ground-state: relaxes to)."""
+    a of the narrowest packet the run starts from (ground-state: relaxes to),
+    and where the density sums of ``norm_sq`` on it are not normal floats."""
     grid = Grid1D(cfg.n_points if cfg.n_points is not None else 4096,
                   cfg.x_min if cfg.x_min is not None else -half,
                   cfg.x_max if cfg.x_max is not None else half)
@@ -354,6 +355,16 @@ def _grid(cfg: ScenarioConfig, half: float, width: float) -> Grid1D:
             f"n_points = {grid.n_points} on [{grid.x_min:g}, {grid.x_max:g}) gives "
             f"dx = {grid.dx:.4g}, which does not resolve the packet width "
             f"a = {width:.4g}: dx must be at most a/{MIN_NODES_PER_WIDTH:g}")
+    # the largest sums a run forms: sum rho = norm_sq/dx for the norm, up to
+    # norm_sq max(x^2)/dx for <x^2>, and in the relaxation's kinetic energy
+    # sum |fft psi|^2 = n sum rho, weighted by k^2: its mean is 1/(2 a^2) at
+    # the width a, and twice that leaves room for the trial steps
+    require_normal(cfg.scenario, dx=grid.dx)
+    sum_rho = cfg.norm_sq / grid.dx
+    require_normal(
+        cfg.scenario, sum_rho=sum_rho,
+        sum_rho_x_sq=sum_rho * max(_square(grid.x_min), _square(grid.x_max)),
+        sum_fft_sq=grid.n_points * sum_rho * max(1.0, 1.0 / _square(width)))
     return grid
 
 
@@ -697,7 +708,7 @@ def build_boost(cfg: ScenarioConfig) -> BoostResult:
     run_lockstep((run,), observe)
     log, final = run.log, run.final
 
-    times, mean_x, _, _, _ = log.as_arrays()
+    times, mean_x, _, _ = log.as_arrays()
     slope = (mean_x[-1] - mean_x[0]) / (times[-1] - times[0])
     velocity_dev = abs(slope - velocity) / abs(velocity)
     metrics = {
@@ -889,7 +900,7 @@ def build_ehrenfest(cfg: ScenarioConfig) -> EhrenfestResult:
     oscillator equation exactly.
 
     The two runs are independent, never convolve (their sphere kernel
-    is stepped and logged in closed form) and spend most of their time
+    is stepped in closed form) and spend most of their time
     in numpy FFTs, which release the GIL, so two pool threads run them
     at once while the caller waits (a default build, medians of three
     sessions on 2 cores: 0.37 s, against 0.39-0.46 s with the runs in turn).

@@ -294,45 +294,30 @@ SPHERE_KERNEL = sphere_quadratic_kernel(
 
 
 def _fusion_case(family):
-    """(evolver, V[psi] for the reference loop, interaction energy weight)."""
+    """(evolver, V[psi] for the reference loop)."""
     v_ext = harmonic_external(SMALL, FUSION_MODEL.k_ext)
     if family == "static":
         return ((lambda psi, spec: evolve_linear(psi, v_ext, spec, PHYS)),
-                lambda vals: np.zeros(SMALL.n_points), 0.0)
+                lambda vals: np.zeros(SMALL.n_points))
     if family == "mean-field":
         return ((lambda psi, spec: evolve_self_harmonic(psi, FUSION_MODEL, spec, PHYS)),
-                lambda vals: self_harmonic(WaveField(SMALL, vals), FUSION_MODEL), 1.0)
+                lambda vals: self_harmonic(WaveField(SMALL, vals), FUSION_MODEL))
     kernel = SPHERE_KERNEL if family == "sphere-kernel" else FUSION_KERNEL
     return ((lambda psi, spec: evolve_kernel(psi, kernel, v_ext, spec, PHYS)),
-            lambda vals: convolution_self_potential(WaveField(SMALL, vals),
-                                                    kernel), 0.5)
+            lambda vals: convolution_self_potential(WaveField(SMALL, vals), kernel))
 
 
-def _reference_energy(vals, v_ext, v_self, weight):
-    """<T> + <v_ext> + weight <v_self> of ``vals`` on SMALL."""
-    k = SMALL.wavenumbers
-    ft = np.fft.fft(vals)
-    kinetic = (PHYS.hbar**2 / (2.0 * PHYS.mass) * np.sum(k * k * np.abs(ft) ** 2)
-               * SMALL.dx / SMALL.n_points)
-    rho = np.abs(vals) ** 2
-    return kinetic + np.sum((v_ext + weight * v_self) * rho) * SMALL.dx
-
-
-def _unfused_reference(psi0, v_self, weight, spec):
+def _unfused_reference(psi0, v_self, spec):
     """Textbook Strang: two potential evaluations, two half-steps a step.
 
-    Returns the output times, fields and energies, and the final field.
+    Returns the output times and fields, and the final field.
     """
     v_ext = harmonic_external(SMALL, FUSION_MODEL.k_ext)
     k = SMALL.wavenumbers
     kin = np.exp(-1j * PHYS.hbar * k * k * spec.dt / (2.0 * PHYS.mass))
     half = -0.5j * spec.dt / PHYS.hbar
-
-    def energy(vals):
-        return _reference_energy(vals, v_ext, v_self(vals), weight)
-
     vals = psi0.values.copy()
-    times, fields, energies = [0.0], [vals.copy()], [energy(vals)]
+    times, fields = [0.0], [vals.copy()]
     for step in range(1, spec.n_steps + 1):
         vals = vals * np.exp(half * (v_ext + v_self(vals)))
         vals = np.fft.ifft(np.fft.fft(vals) * kin)
@@ -340,8 +325,19 @@ def _unfused_reference(psi0, v_self, weight, spec):
         if step % spec.output_stride == 0:
             times.append(step * spec.dt)
             fields.append(vals.copy())
-            energies.append(energy(vals))
-    return times, fields, energies, vals
+    return times, fields, vals
+
+
+def _count_calls(monkeypatch, module, names):
+    """Tally by name the calls to each of ``names`` in ``module``."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def count(*args, _name=name, _real=getattr(module, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, count)
+    return counts
 
 
 class TestFusedStepper:
@@ -349,19 +345,16 @@ class TestFusedStepper:
                                         "sphere-kernel"])
     @pytest.mark.parametrize("dt, stride", [(2e-3, 1), (2e-3, 7), (-2e-3, 5)])
     def test_matches_unfused_reference(self, family, dt, stride):
-        evolve, v_self, weight = _fusion_case(family)
+        evolve, v_self = _fusion_case(family)
         psi0 = gaussian_packet(SMALL, 0.7, 0.6, velocity=1.5)
         # 40 steps: with stride 7 the run ends between two outputs
         spec = EvolutionSpec(dt=dt, t_end=40 * abs(dt), output_stride=stride)
         log, final = evolve(psi0, spec)
-        times, fields, energies, ref_final = _unfused_reference(
-            psi0, v_self, weight, spec)
+        times, fields, ref_final = _unfused_reference(psi0, v_self, spec)
         assert log.times == pytest.approx(times, abs=1e-15)
         for fld, ref in zip(log.fields, fields):
             assert np.max(np.abs(fld.values - ref)) < 1e-12
         assert np.max(np.abs(final.values - ref_final)) < 1e-12
-        assert np.max(np.abs(np.asarray(log.energy) - energies)) < 1e-12 * np.max(
-            np.abs(energies))
 
     @pytest.mark.parametrize("stride", [1, 8])
     def test_one_convolution_per_step(self, stride, monkeypatch):
@@ -375,8 +368,35 @@ class TestFusedStepper:
         psi0 = gaussian_packet(SMALL, 0.7, 0.6)
         spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
         evolve_kernel(psi0, FUSION_KERNEL, harmonic_external(SMALL, 1.0), spec, PHYS)
-        # one to open the run, then one per step; the energy reuses them
+        # one to open the run, then one per step
         assert len(calls) == spec.n_steps + 1
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("family", ["mean-field", "sphere-kernel"])
+    def test_closed_form_builds_no_self_potential(self, family, stride, monkeypatch):
+        # the step takes V_self from the density's moments, and an output
+        # logs moments alone: no V_self array is ever built
+        names = ("_self_trap", "convolution_self_potential")
+        calls = _count_calls(monkeypatch, snsim.propagate, names)
+        evolve, _ = _fusion_case(family)
+        psi0 = gaussian_packet(SMALL, 0.7, 0.6)
+        # 40 steps: with stride 7 the run ends between two outputs
+        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
+        log, _ = evolve(psi0, spec)
+        assert len(log.times) == spec.n_steps // stride + 1
+        assert calls == dict.fromkeys(names, 0)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("family", ["static", "mean-field", "sphere-kernel"])
+    def test_one_fft_pair_per_step(self, family, stride, monkeypatch):
+        # the kinetic step is the only FFT pair; an output adds none
+        evolve, _ = _fusion_case(family)
+        psi0 = gaussian_packet(SMALL, 0.7, 0.6)
+        # 40 steps: with stride 7 the run ends between two outputs
+        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
+        counts = _count_calls(monkeypatch, np.fft, ("fft", "ifft"))
+        evolve(psi0, spec)
+        assert counts == {"fft": spec.n_steps, "ifft": spec.n_steps}
 
 
 class TestTrapPhase:
@@ -400,22 +420,6 @@ class TestTrapPhase:
         want = np.exp(halves * f * (v_ext + _self_trap(x, rho, model.k_self)))
         assert np.max(np.abs(got - want)) < 1e-13
 
-    @pytest.mark.parametrize("stride", [1, 7])
-    def test_self_trap_built_only_at_outputs(self, stride, monkeypatch):
-        calls = []
-
-        def counting(x, rho, k_self):
-            calls.append(1)
-            return _self_trap(x, rho, k_self)
-
-        monkeypatch.setattr(snsim.propagate, "_self_trap", counting)
-        psi0 = gaussian_packet(SMALL, 0.7, 0.6)
-        # 40 steps: with stride 7 the run ends between two outputs
-        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
-        log, _ = evolve_self_harmonic(psi0, FUSION_MODEL, spec, PHYS)
-        # one for each logged energy, none for the steps themselves
-        assert len(calls) == len(log.times) == spec.n_steps // stride + 1
-
 
 class TestSphereKernel:
     """The sphere kernel's potential step in closed form."""
@@ -436,39 +440,6 @@ class TestSphereKernel:
         moment_form = family.offset + 0.5 * family.k_self * ((x - mean) ** 2 + variance)
         want = convolution_self_potential(psi0, SPHERE_KERNEL)
         assert np.max(np.abs(moment_form - want)) < 1e-13 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("stride", [1, 7])
-    def test_convolution_built_only_at_outputs(self, stride, monkeypatch):
-        calls = []
-
-        def counting(f, kernel):
-            calls.append(1)
-            return convolution_self_potential(f, kernel)
-
-        monkeypatch.setattr(snsim.propagate, "convolution_self_potential", counting)
-        psi0 = gaussian_packet(SMALL, 0.7, 0.6)
-        # 40 steps: with stride 7 the run ends between two outputs
-        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
-        log, _ = evolve_kernel(psi0, SPHERE_KERNEL, harmonic_external(SMALL, 1.0),
-                               spec, PHYS)
-        # the steps and the logged energies alike take V_self from moments
-        assert len(log.times) == spec.n_steps // stride + 1
-        assert calls == []
-
-    @pytest.mark.parametrize("stride", [1, 7])
-    @pytest.mark.parametrize("k_ext", [0.0, 1.0], ids=["free", "trapped"])
-    def test_logged_energy_is_the_convolution_energy(self, k_ext, stride):
-        # the one energy rule, with V_self convolved from each kept frame
-        psi0 = gaussian_packet(SMALL, 0.7, 0.6, velocity=1.5)
-        v_ext = harmonic_external(SMALL, k_ext)
-        spec = EvolutionSpec(dt=2e-3, t_end=0.08, output_stride=stride)
-        log, _ = evolve_kernel(psi0, SPHERE_KERNEL, v_ext, spec, PHYS)
-        want = np.array([
-            _reference_energy(f.values, v_ext,
-                              convolution_self_potential(f, SPHERE_KERNEL), 0.5)
-            for f in log.fields])
-        assert len(want) == spec.n_steps // stride + 1
-        assert np.all(np.abs(np.asarray(log.energy) - want) <= 1e-12 * np.abs(want))
 
 
 class TestLockstep:
@@ -493,11 +464,23 @@ class TestLockstep:
             for frame, kept, alone in zip(seen, run.log.fields, log.fields):
                 assert np.array_equal(frame[i], kept.values)
                 assert np.array_equal(frame[i], alone.values)
-            assert run.log.energy == log.energy
+            for streamed, alone in zip(run.log.as_arrays(), log.as_arrays()):
+                assert np.array_equal(streamed, alone)
             assert np.array_equal(run.final.values, final.values)
 
 
 TRAP = HarmonicModelParams(k_ext=1.0, k_self=0.0)
+
+
+def _reference_energy(f, model):
+    """<T> + <v_ext> + <V_self> of ``f`` under the trap model."""
+    grid = f.grid
+    k = grid.wavenumbers
+    ft = np.fft.fft(f.values)
+    kinetic = (PHYS.hbar**2 / (2.0 * PHYS.mass) * np.sum(k * k * np.abs(ft) ** 2)
+               * grid.dx / grid.n_points)
+    v = harmonic_external(grid, model.k_ext) + self_harmonic(f, model)
+    return kinetic + np.sum(v * np.abs(f.values) ** 2) * grid.dx
 
 
 class TestImaginaryTime:
@@ -520,13 +503,13 @@ class TestImaginaryTime:
     @pytest.mark.parametrize("model", [HarmonicModelParams(0.0, 10.0), TRAP],
                              ids=["self-trap", "static-trap"])
     def test_energy_is_the_logged_energy(self, model):
-        # one energy rule: the relaxation's energy is the t = 0 energy
-        # the Strang stepper logs for the relaxed field
+        # the relaxation's energy is the last one its history logs, and the
+        # trap model's energy of the relaxed field
         seed = gaussian_packet(GRID, 0.4, 1.5)
         result = imaginary_time_relax(seed, model, 1.3, tol=1e-10, phys=PHYS)
-        spec = EvolutionSpec(dt=1e-3, t_end=1e-3)
-        log, _ = evolve_self_harmonic(result.field, model, spec, PHYS)
-        assert result.energy == log.energy[0]
+        assert result.energy == result.history[-1]
+        assert result.energy == pytest.approx(_reference_energy(result.field, model),
+                                              rel=1e-14, abs=0.0)
 
     def test_energy_monotone(self):
         seed = gaussian_packet(GRID, 1.0, 2.5)

