@@ -1,15 +1,16 @@
 """The acceptance battery: every headline claim as a pass/fail check.
 
-Each criterion runs at its stated tolerance on the default scenario
+:data:`BATTERY` declares the `snsim check` lines, one row each, in print
+order.  Each runs at its stated tolerance on the default scenario
 parameters (4096-node grid, stiffness ratio 1000, variance ratio 1e-3).
-Criteria 1-7 and 9a are the scenarios' own checks under acceptance
-labels, so their tolerances are stated once, with the scenarios.  Heavy
-runs are shared through :class:`AcceptanceContext`, so the whole battery
+Lines 1-7 and 9a are the scenarios' own checks under acceptance labels,
+so their tolerances are stated once, with the scenarios.  Heavy runs
+are shared through :class:`AcceptanceContext`, so the whole battery
 stays well inside the runtime budget.
 
 :func:`run_acceptance` splits the runs over two processes.  The runs that
 do not use the default figure1 run (9e's three self-trap runs, the
-Choquard pair, 9b's time reversal and criterion 8's ratio-10 and
+Choquard pair, 9b's time reversal and line 8's ratio-10 and
 ratio-100 members) go to one worker process, forked before anything is
 built, while the calling process builds figure1, boost and 9d's rotated
 analysis.  Every run has one implementation, and the lines, their order
@@ -28,7 +29,7 @@ import functools
 import threading
 import traceback
 from concurrent.futures import Future
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,61 +60,54 @@ DT_ORDER_RANGE = (3.5, 4.5)
 
 
 # the runs that do not use the default figure1 run, longest first: the
-# ones run_acceptance hands to its worker process.  Run ``name`` is made
-# by the module function ``_<name>``, looked up when it runs, so a
-# rebinding (a test double) takes effect in the worker too.
+# ones run_acceptance hands to its worker process
 _WORKER_RUNS = ("dt_order", "choquard", "time_reversal", "sweep_members")
 
 
 def _make(name: str):
+    """Run ``name``, made by the module function ``_<name>``, looked up when
+    it runs: a rebinding (a test double) takes effect in the worker too."""
     return globals()[f"_{name}"]()
 
 
-class AcceptanceContext:
-    """The criteria's shared runs, each made on first use.
+def _run(name: str) -> functools.cached_property:
+    """The context's run ``name``, made once: taken from the worker if
+    :func:`run_acceptance` handed it there, else made here by ``_<name>``."""
+    def run(ctx):
+        future = ctx._pending.pop(name, None)
+        return _make(name) if future is None else future.result()
+    return functools.cached_property(run)
 
-    A run that :func:`run_acceptance` has handed to its worker process is
-    taken from the worker; every other run is made in this process.
-    """
+
+class AcceptanceContext:
+    """The battery's shared runs, each made on first use."""
 
     def __init__(self):
         self._pending = {}  # run name -> the worker's future
 
-    def _worker_run(self, name: str):
-        future = self._pending.pop(name, None)
-        return _make(name) if future is None else future.result()
+    figure1 = _run("figure1")
+    boost = _run("boost")
+    sweep_members = _run("sweep_members")
+    choquard = _run("choquard")
+    time_reversal = _run("time_reversal")
+    dt_order = _run("dt_order")
 
-    @functools.cached_property
-    def figure1(self):
-        return build_figure1(ScenarioConfig(scenario="figure1"))
-
-    @functools.cached_property
-    def sweep_members(self):
-        return self._worker_run("sweep_members")
-
-    @functools.cached_property
-    def choquard(self):
-        return self._worker_run("choquard")
-
-    @functools.cached_property
-    def boost(self):
-        return build_boost(ScenarioConfig(scenario="boost"))
-
-    @functools.cached_property
-    def time_reversal(self):
-        return self._worker_run("time_reversal")
-
+    # 9d re-analyses this context's figure1 run, so no module function makes it
     @functools.cached_property
     def gauge_invariance(self):
         return _gauge_invariance(self)
 
-    @functools.cached_property
-    def dt_order(self):
-        return self._worker_run("dt_order")
+
+def _figure1():
+    return build_figure1(ScenarioConfig(scenario="figure1"))
+
+
+def _boost():
+    return build_boost(ScenarioConfig(scenario="boost"))
 
 
 def _sweep_members():
-    """Criterion 8's ratio-10 and ratio-100 guidance residuals."""
+    """Line 8's ratio-10 and ratio-100 guidance residuals."""
     template = resolve_sweep_window(ScenarioConfig(scenario="figure1"))
     return [(ratio, build_figure1(dataclasses.replace(
         template, stiffness_ratio=ratio)).metrics["residual_p1_rel"])
@@ -124,54 +118,24 @@ def _choquard():
     return build_choquard(ScenarioConfig(scenario="choquard"))
 
 
-def _worst(label: str, checks, *names: str, note: Optional[str] = None):
-    """The worst of the scenario checks called ``names``, relabelled.
+def _worst(label: str, runs, *names: str,
+           note: Optional[Callable[[AcceptanceContext], str]] = None):
+    """The row that reports the worst check called one of ``names`` of the
+    context runs ``runs``, relabelled ``label``.
 
     A failing check is worse than any passing one; among equals the
-    larger value is worse.  The note is the worst check's unless given.
+    larger value is worse, then the earlier one.  The note is the worst
+    check's unless ``note(ctx)`` gives it.
     """
-    worst = max((c for c in checks if c.name in names),
-                key=lambda c: (not c.passed, c.value))
-    return dataclasses.replace(worst, name=label,
-                               note=worst.note if note is None else note)
+    def row(ctx) -> CheckResult:
+        worst = max((c for run in runs for c in getattr(ctx, run).checks()
+                     if c.name in names), key=lambda c: (not c.passed, c.value))
+        return dataclasses.replace(
+            worst, name=label, note=worst.note if note is None else note(ctx))
+    return row
 
 
-def _criterion_1(ctx) -> List[CheckResult]:
-    return [_worst("1-guidance-law", ctx.figure1.checks(), "guidance-law-residual")]
-
-
-def _criterion_2(ctx) -> List[CheckResult]:
-    return [_worst("2-reciprocity", ctx.figure1.checks(), "reciprocity-deviation")]
-
-
-def _criterion_3(ctx) -> List[CheckResult]:
-    checks = ctx.figure1.checks()
-    return [_worst("3a-classical-trajectory", checks, "classical-trajectory"),
-            _worst("3b-ehrenfest-exact", checks, "ehrenfest-residual")]
-
-
-def _criterion_4(ctx) -> List[CheckResult]:
-    return [_worst("4-norm-rate-law", ctx.figure1.checks(), "norm-rate-residual")]
-
-
-def _criterion_5(ctx) -> List[CheckResult]:
-    checks = ctx.choquard.checks()
-    return [_worst("5a-choquard-e0", checks, "choquard-e0"),
-            _worst("5b-choquard-scaling", checks, "choquard-n3-scaling",
-                   note=f"ratio {ctx.choquard.metrics['energy_ratio']:.4f}")]
-
-
-def _criterion_6(ctx) -> List[CheckResult]:
-    return [_worst("6-oracle-equivalence", ctx.figure1.checks(),
-                   "oracle-mean", "oracle-variance")]
-
-
-def _criterion_7(ctx) -> List[CheckResult]:
-    return [_worst("7-galilean-boost", ctx.boost.checks(), "boost-deformation",
-                   note=f"velocity dev {ctx.boost.metrics['velocity_dev']:.2e}")]
-
-
-def _criterion_8(ctx) -> List[CheckResult]:
+def _sweep_monotonic(ctx) -> CheckResult:
     # the ratio-1000 member is the default run: same plan, same metrics
     residuals = ctx.sweep_members + [
         (1000.0, ctx.figure1.metrics["residual_p1_rel"])]
@@ -181,8 +145,8 @@ def _criterion_8(ctx) -> List[CheckResult]:
         [b - a for a, b in zip(vals, vals[1:])] + [0.0]
     )
     note = ", ".join(f"{ratio:g}:{r:.2e}" for ratio, r in residuals)
-    return [CheckResult("8-sweep-monotonic", monotone, worst_rise, 0.0,
-                        note=note)]
+    return CheckResult("8-sweep-monotonic", monotone, worst_rise, 0.0,
+                       note=note)
 
 
 def _time_reversal() -> CheckResult:
@@ -262,28 +226,26 @@ def _dt_order() -> CheckResult:
                        note=f"expected in [{lo}, {hi}]")
 
 
-def _criterion_9(ctx) -> List[CheckResult]:
-    return [
-        _worst("9a-norm-conservation", ctx.figure1.checks() + ctx.boost.checks(),
-               "norm-conservation"),
-        ctx.time_reversal,
-        _scaling_law(),
-        ctx.gauge_invariance,
-        ctx.dt_order,
-    ]
-
-
-CRITERIA: List[Callable] = [
-    _criterion_1,
-    _criterion_2,
-    _criterion_3,
-    _criterion_4,
-    _criterion_5,
-    _criterion_6,
-    _criterion_7,
-    _criterion_8,
-    _criterion_9,
-]
+# one row per `snsim check` line, in print order: row(ctx) is the line's check
+BATTERY: Tuple[Callable[[AcceptanceContext], CheckResult], ...] = (
+    _worst("1-guidance-law", ("figure1",), "guidance-law-residual"),
+    _worst("2-reciprocity", ("figure1",), "reciprocity-deviation"),
+    _worst("3a-classical-trajectory", ("figure1",), "classical-trajectory"),
+    _worst("3b-ehrenfest-exact", ("figure1",), "ehrenfest-residual"),
+    _worst("4-norm-rate-law", ("figure1",), "norm-rate-residual"),
+    _worst("5a-choquard-e0", ("choquard",), "choquard-e0"),
+    _worst("5b-choquard-scaling", ("choquard",), "choquard-n3-scaling",
+           note=lambda ctx: f"ratio {ctx.choquard.metrics['energy_ratio']:.4f}"),
+    _worst("6-oracle-equivalence", ("figure1",), "oracle-mean", "oracle-variance"),
+    _worst("7-galilean-boost", ("boost",), "boost-deformation",
+           note=lambda ctx: f"velocity dev {ctx.boost.metrics['velocity_dev']:.2e}"),
+    _sweep_monotonic,
+    _worst("9a-norm-conservation", ("figure1", "boost"), "norm-conservation"),
+    lambda ctx: ctx.time_reversal,
+    lambda ctx: _scaling_law(),
+    lambda ctx: ctx.gauge_invariance,
+    lambda ctx: ctx.dt_order,
+)
 
 
 class _Worker:
@@ -346,7 +308,7 @@ def _serve(names, reader, sender):
 
 def run_acceptance(ctx: Optional[AcceptanceContext] = None,
                    stream=print) -> List[CheckResult]:
-    """Run every criterion, print one line each, return all results.
+    """Run every :data:`BATTERY` row, print its line, return all results.
 
     The context's runs named in ``_WORKER_RUNS`` and not yet made go to
     one forked worker process, unless this process runs other threads.
@@ -366,11 +328,10 @@ def run_acceptance(ctx: Optional[AcceptanceContext] = None,
         # only when it has nothing left to build
         for name in ("figure1", "boost", "gauge_invariance"):
             getattr(ctx, name)
-        for criterion in CRITERIA:
-            for check in criterion(ctx):
-                results.append(check)
-                if stream is not None:
-                    stream(check.line())
+        for row in BATTERY:
+            results.append(row(ctx))
+            if stream is not None:
+                stream(results[-1].line())
     finally:
         ctx._pending = {}
         if worker is not None:

@@ -38,7 +38,6 @@ import numpy as np
 from .errors import ConfigError
 from .fields import Grid1D, WaveField
 from .potentials import HarmonicModelParams, PhysParams
-from .textio import write_table
 
 
 @dataclass(frozen=True)
@@ -171,10 +170,4 @@ def classical_trajectory(
     xs = init.position * c + init.velocity * s
     vs = init.velocity * c - k / mass * init.position * s
     return times, xs, vs
-
-
-def write_series_csv(path, header: str, columns) -> None:
-    """Comma CSV with 17 significant digits, same conventions as the
-    guidance table, so oracle series plot side by side with it."""
-    write_table(path, header, columns)
 

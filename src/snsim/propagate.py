@@ -212,16 +212,6 @@ def _trap_phase(grid: Grid1D, v_ext: np.ndarray, k_self: float, f: complex):
     return phase
 
 
-def _energy(vals: np.ndarray, rho: np.ndarray, v_ext: np.ndarray, v_self,
-            grid: Grid1D, phys: PhysParams) -> float:
-    """<T> + <v_ext> + <V_self> of ``vals``, of density ``rho``: the energy
-    of the mean-field trap, whose V_self is homogeneous of degree one in rho."""
-    energy = _kinetic_energy(vals, grid, phys) + float(np.sum(v_ext * rho) * grid.dx)
-    if v_self is not None:
-        energy += float(np.sum(v_self * rho) * grid.dx)
-    return energy
-
-
 class _Recorder:
     """Per-output bookkeeping of a Strang run."""
 
@@ -510,11 +500,15 @@ def imaginary_time_relax(
     v_ext = harmonic_external(grid, model.k_ext)
 
     def evaluate(v):
-        """The potential built from ``v``, and the energy of ``v``."""
+        """The potential built from ``v``, and the energy <T> + <v_ext> +
+        <V_self> of ``v``: the energy of the mean-field trap, whose V_self
+        is homogeneous of degree one in rho."""
         rho = _density(v)
-        v_self = _self_trap(x, rho, model.k_self) if model.k_self != 0.0 else None
-        pot = v_ext if v_self is None else v_ext + v_self
-        return pot, _energy(v, rho, v_ext, v_self, grid, phys)
+        energy = _kinetic_energy(v, grid, phys) + float(np.sum(v_ext * rho) * dx)
+        if model.k_self == 0.0:
+            return v_ext, energy
+        v_self = _self_trap(x, rho, model.k_self)
+        return v_ext + v_self, energy + float(np.sum(v_self * rho) * dx)
 
     dtau = RELAX_DTAU0
     pot, energy = evaluate(vals)

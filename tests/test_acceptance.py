@@ -1,8 +1,9 @@
 """The headline claims as pass/fail checks at their stated tolerances.
 
-One test per criterion; each prints its pass/fail line so a verbose run
-reads as the acceptance report.  Heavy runs are shared across criteria
-through the session-scoped context.
+One test per `snsim check` line, parametrized over the battery's rows;
+each prints its pass/fail line so a verbose run reads as the acceptance
+report.  Heavy runs are shared across lines through the session-scoped
+context.
 """
 
 import dataclasses
@@ -19,21 +20,10 @@ from pathlib import Path
 import pytest
 
 import snsim.acceptance as acc
-from snsim.acceptance import (
-    AcceptanceContext,
-    _criterion_1,
-    _criterion_2,
-    _criterion_3,
-    _criterion_4,
-    _criterion_5,
-    _criterion_6,
-    _criterion_7,
-    _criterion_8,
-    _criterion_9,
-    run_acceptance,
-)
+from snsim.acceptance import BATTERY, AcceptanceContext, run_acceptance
 from snsim.cli import main
 from snsim.errors import SimulationError
+from snsim.scenarios import CheckResult
 
 
 @pytest.fixture(scope="session")
@@ -41,57 +31,13 @@ def ctx():
     return AcceptanceContext()
 
 
-def _assert_all(checks):
-    for check in checks:
-        print(check.line())
-    failed = [c for c in checks if not c.passed]
-    assert not failed, "; ".join(c.line() for c in failed)
-
-
-def test_criterion_1_guidance_law(ctx):
-    # velocity decomposition residual within 2% of the peak drift speed
-    # over two periods of the soliton's own trap, 4096-node grid
-    _assert_all(_criterion_1(ctx))
-
-
-def test_criterion_2_reciprocity(ctx):
-    # norm/amplitude product constant to 2% along the same run
-    _assert_all(_criterion_2(ctx))
-
-
-def test_criterion_3_classical_limit(ctx):
-    # barycentre follows the classical oracle to 1% of the oscillation
-    # amplitude; the full wave's mean obeys the trap equation to 1e-5
-    _assert_all(_criterion_3(ctx))
-
-
-def test_criterion_4_norm_rate_law(ctx):
-    # norm-rate law residual within 5% throughout (the law is itself an
-    # approximation)
-    _assert_all(_criterion_4(ctx))
-
-
-def test_criterion_5_choquard(ctx):
-    # dimensionless ground level within 10% of the published fit (either
-    # energy, logged), and the cubic scaling ratio 8 within 1%
-    _assert_all(_criterion_5(ctx))
-
-
-def test_criterion_6_oracle_equivalence(ctx):
-    # grid solver vs closed moment system: mean and variance to 1e-3
-    _assert_all(_criterion_6(ctx))
-
-
-def test_criterion_7_galilean_boost(ctx):
-    # boosted self-trapped state translates rigidly: deformation <= 1e-4
-    # over one breathing period
-    _assert_all(_criterion_7(ctx))
-
-
-def test_criterion_8_sweep_monotonic(ctx):
-    # guidance-law residual non-increasing across stiffness ratios
-    # 10, 100, 1000
-    _assert_all(_criterion_8(ctx))
+@pytest.mark.parametrize("row", BATTERY,
+                         ids=[f"line{i:02d}" for i in range(1, len(BATTERY) + 1)])
+def test_battery_line(ctx, row):
+    # each line passes at its stated tolerance (README, "Acceptance criteria")
+    check = row(ctx)
+    print(check.line())
+    assert check.passed, check.line()
 
 
 def test_sweep_top_member_is_default_run():
@@ -108,12 +54,6 @@ def test_sweep_top_member_is_default_run():
     assert b.cfg.stiffness_ratio == 1000.0
     assert dataclasses.replace(b.cfg, stiffness_ratio=None) == a.cfg
     assert b._replace(cfg=a.cfg) == a
-
-
-def test_criterion_9_property_suite(ctx):
-    # norm conservation 1e-10, linear time reversal 1e-8, interaction
-    # scaling law 1e-10, gauge invariance 1e-12, second-order dt ratio
-    _assert_all(_criterion_9(ctx))
 
 
 def test_check_lines_pinned(ctx):
@@ -166,7 +106,7 @@ def _rebind(monkeypatch, name, before):
 
 def test_worker_gives_the_in_process_results(ctx, monkeypatch):
     # every check, 5a, 5b, 8, 9b and 9e among them, equal field by field
-    in_process = [c for criterion in acc.CRITERIA for c in criterion(ctx)]
+    in_process = [row(ctx) for row in BATTERY]
     parent = os.getpid()
 
     def in_worker():
@@ -189,6 +129,27 @@ def test_worker_error_ends_check_with_exit_one(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "error: choquard broke" in err and "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+def test_check_out_writes_the_printed_lines(tmp_path, monkeypatch, capsys):
+    # acceptance.txt holds the printed check lines, in order, and a second
+    # run into the same directory replaces it
+    lines = [CheckResult("1-one", True, 1e-3, 0.02),
+             CheckResult("2-two", False, 0.5, 0.1, note="a note"),
+             CheckResult("3-three", True, 0.0, 0.0)]
+
+    def fake(ctx=None, stream=print):
+        for check in checks:
+            stream(check.line())
+        return checks
+
+    monkeypatch.setattr(acc, "run_acceptance", fake)
+    out = tmp_path / "out"
+    for checks, code in ((lines, 1), (lines[2:], 0)):
+        assert main(["check", "--out", str(out)]) == code
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:-1] == [c.line() for c in checks]
+        assert (out / "acceptance.txt").read_text().splitlines() == printed[:-1]
 
 
 def test_failure_cancels_the_worker_runs_not_started(tmp_path, monkeypatch):
@@ -267,8 +228,7 @@ def test_threaded_caller_makes_every_run_itself(ctx, monkeypatch):
         other.join(timeout=60)
     assert not other.is_alive()
     assert pids == [os.getpid()]
-    assert _fields(results) == _fields(
-        [c for criterion in acc.CRITERIA for c in criterion(ctx)])
+    assert _fields(results) == _fields([row(ctx) for row in BATTERY])
 
 
 def test_runtime_budget(ctx):

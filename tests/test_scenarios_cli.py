@@ -12,7 +12,6 @@ import snsim.scenarios
 from snsim.cli import main
 from snsim.errors import ConfigError, ExtractionError, SimulationError
 from snsim.guidance import decompose_run, frame_sample, write_guidance_csv
-from snsim.oracles import write_series_csv
 from snsim.potentials import _kernel_spectrum
 from snsim.propagate import write_snapshots
 from snsim.scenarios import (
@@ -29,6 +28,7 @@ from snsim.scenarios import (
     sweep,
     validate_config,
 )
+from snsim.textio import write_table
 
 # a cheap but resolved oscillating-soliton configuration for CLI tests
 SMALL_FIG_TEXT = "scenario = figure1\nn_points = 2048\n"
@@ -127,6 +127,15 @@ PLAN_RULES = {
     "ehrenfest-weak-trap": ({"scenario": "ehrenfest", "n_points": 1024}, "k_ext",
                             1e-12, "trapped-ehrenfest divides its residual by "
                             "max|k_ext <x>| = 1.5e-12; its roundoff floor"),
+    # ran while the trapped packet breathed down to a_s^2/a0 = 0.0158 (1e6)
+    # and 0.0035 (2e7), under two nodes, and stopped at t = 0.068 and 0.008
+    # with "boundary density fraction ...; enlarge the domain"
+    "ehrenfest-breathes-under-the-grid": (
+        {"scenario": "ehrenfest"}, "norm_sq", 1e6,
+        "dx = 0.01562, which does not resolve the packet width a = 0.01581"),
+    "ehrenfest-breathes-under-a-fine-grid": (
+        {"scenario": "ehrenfest", "n_points": 16384}, "norm_sq", 2e7,
+        "dx = 0.003906, which does not resolve the packet width a = 0.003536"),
     # sum |psi|^2 overflowed: an overflow RuntimeWarning, then "zero-norm
     # field has no mean position", or a packet said to have no density
     **{f"{scenario}-norm-overflow": (
@@ -420,12 +429,12 @@ def _list_form(result, out):
                                      result.full_log.fields, result.phys),
                        out / "guidance.csv")
     flow = result.moment_flow
-    write_series_csv(out / "oracle_moments.csv",
-                     "t,mean,momentum,variance,variance_rate",
-                     (result.times, flow.mean, flow.momentum, flow.variance,
-                      flow.variance_rate))
-    write_series_csv(out / "classical.csv", "t,x_classical",
-                     (result.times, result.classical))
+    write_table(out / "oracle_moments.csv",
+                "t,mean,momentum,variance,variance_rate",
+                (result.times, flow.mean, flow.momentum, flow.variance,
+                 flow.variance_rate))
+    write_table(out / "classical.csv", "t,x_classical",
+                (result.times, result.classical))
 
 
 def _tree(root):
@@ -798,7 +807,7 @@ class TestCli:
          "the packet width a = 0.1778: dx must be at most a/2"),
         ("ehrenfest", "n_points = 1\n",
          "n_points = 1 on [-32, 32) gives dx = 64, which does not resolve "
-         "the packet width a = 1: dx must be at most a/2"),
+         "the packet width a = 0.998: dx must be at most a/2"),
         ("ground-state", "n_points = 1\n",
          "n_points = 1 on [-16, 16) gives dx = 32, which does not resolve "
          "the packet width a = 0.5623: dx must be at most a/2"),
@@ -810,9 +819,15 @@ class TestCli:
         ("boost", "n_points = 2\nk_self = 1\n",
          "n_points = 2 on [-16, 16) gives dx = 16, which does not resolve "
          "the packet width a = 1: dx must be at most a/2"),
+        # the trapped packet breathes from width 1 down to a_s^2 = 0.0158
+        # under a self-stiffness of 4000: this ran, and stopped at t = 0.068
+        # with "boundary density fraction ...; enlarge the domain"
+        ("ehrenfest", "norm_sq = 1e6\n",
+         "n_points = 4096 on [-32, 32) gives dx = 0.01562, which does not "
+         "resolve the packet width a = 0.01581: dx must be at most a/2"),
     ], ids=["figure1-one-node", "boost-one-node", "ehrenfest-one-node",
             "ground-state-one-node", "boost-soft-one-node",
-            "boost-soft-two-nodes"])
+            "boost-soft-two-nodes", "ehrenfest-breathes-under-the-grid"])
     def test_grid_coarser_than_the_packet(self, tmp_path, capsys, scenario,
                                           text, message):
         cfg_path = tmp_path / "run.cfg"

@@ -17,7 +17,6 @@ import snsim.scenarios
 from snsim.cli import main
 from snsim.fields import Grid1D, WaveField, gaussian_packet
 from snsim.guidance import CSV_COLUMNS, VelocityDecomposition, write_guidance_csv
-from snsim.oracles import write_series_csv
 from snsim.propagate import (
     SnapshotWriter,
     TrajectoryLog,
@@ -165,7 +164,7 @@ class TestTables:
         n = 2 * _BLOCK_ROWS + 17
         columns = [_floats(rng, n), rng.permutation(_floats(rng, n)),
                    list(_floats(rng, n))]
-        write_series_csv(tmp_path / "new.csv", "t,a,b", columns)
+        write_table(tmp_path / "new.csv", "t,a,b", columns)
         reference_table(tmp_path / "ref.csv", "t,a,b",
                         [np.asarray(c) for c in columns], ",")
         assert ((tmp_path / "new.csv").read_bytes()
