@@ -50,6 +50,7 @@ from .scenarios import (
     build_boost,
     build_choquard,
     build_figure1,
+    checks,
     resolve_sweep_window,
 )
 
@@ -128,7 +129,7 @@ def _worst(label: str, runs, *names: str,
     check's unless ``note(ctx)`` gives it.
     """
     def row(ctx) -> CheckResult:
-        worst = max((c for run in runs for c in getattr(ctx, run).checks()
+        worst = max((c for run in runs for c in checks(getattr(ctx, run))
                      if c.name in names), key=lambda c: (not c.passed, c.value))
         return dataclasses.replace(
             worst, name=label, note=worst.note if note is None else note(ctx))

@@ -2,7 +2,9 @@
 
 Configs are flat ``key = value`` text with ``#`` comments.  Every
 scenario bakes in physically consistent defaults so the headline runs
-are one-liners (``run figure1``); any key can be overridden.  Runs are
+are one-liners (``run figure1``).  Each is one row of ``_SCENARIO_TABLE``,
+which names the keys it reads and the checks it makes; any other key set
+away from its default is refused, never ignored.  Runs are
 deterministic: repeated runs produce byte-identical CSV/TSV output.
 
 The figure1 scenario realizes the oscillating-soliton configuration:
@@ -27,7 +29,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -204,7 +206,7 @@ def validate_config(cfg: ScenarioConfig) -> List[str]:
     errors = _config_problems(cfg)
     if not errors:
         try:
-            _SCENARIO_TABLE[cfg.scenario][0](cfg)
+            _SCENARIO_TABLE[cfg.scenario].plan(cfg)
         except ConfigError as exc:
             errors = exc.errors
     return errors
@@ -233,6 +235,12 @@ def _config_problems(cfg: ScenarioConfig) -> List[str]:
 
     if cfg.scenario not in SCENARIOS:
         errors.append(f"scenario must be one of {', '.join(SCENARIOS)}")
+    else:
+        keys = _SCENARIO_TABLE[cfg.scenario].keys
+        errors += [f"{cfg.scenario} takes no {f.name}: {f.name} = "
+                   f"{_render_value(f.name, v)} would be ignored"
+                   for f in dataclasses.fields(ScenarioConfig)[1:]  # not scenario
+                   if f.name not in keys and (v := getattr(cfg, f.name)) != f.default]
     for name in ("stiffness_ratio", "dt", "t_end", "init_width",
                  "pilot_width", "relax_tol"):
         value = getattr(cfg, name)
@@ -251,19 +259,18 @@ def _config_problems(cfg: ScenarioConfig) -> List[str]:
     return errors
 
 
+def _render_value(key: str, value) -> str:
+    """``value`` as a config line for ``key`` writes it."""
+    if key in _BOOL_KEYS:
+        return "on" if value else "off"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def render_config(cfg: ScenarioConfig) -> str:
     """Config text that parses back to an equivalent config."""
-    lines = []
-    for f in dataclasses.fields(ScenarioConfig):
-        v = getattr(cfg, f.name)
-        if v is None:
-            continue
-        if f.name in _BOOL_KEYS:
-            v = "on" if v else "off"
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {_render_value(f.name, v)}\n"
+                   for f in dataclasses.fields(ScenarioConfig)
+                   if (v := getattr(cfg, f.name)) is not None)
 
 
 @dataclass(frozen=True)
@@ -294,11 +301,6 @@ class RunReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _check(name, value, threshold, note="") -> CheckResult:
-    return CheckResult(name, bool(value <= threshold), float(value),
-                       float(threshold), note)
 
 
 class RunPlan(NamedTuple):
@@ -414,6 +416,28 @@ def _mean_motion_floor(mass: float, h: float, x_max: float) -> float:
     return mass * (64.0 / 12.0) * sys.float_info.epsilon * x_max / h / h
 
 
+def _require_scales(remedy: str, *checks) -> None:
+    """Refuse the checks whose roundoff floor exceeds their tolerance of
+    the scale they divide by: each is (check, what it divides by, that
+    scale, the floor, the tolerance)."""
+    errors = [f"{check} divides its residual by {label} = {scale:.3g}; its "
+              f"roundoff floor {floor:.3g} would exceed the tolerance {tol:g} "
+              f"of that: {remedy}"
+              for check, label, scale, floor, tol in checks if floor > tol * scale]
+    if errors:
+        raise ConfigError(errors)
+
+
+def _orbit_peak(start: float, rate: float, omega: float, t_end: float) -> float:
+    """The peak of |start cos(wt) + (rate/w) sin(wt)| over [0, t_end]: the
+    amplitude once the window reaches a turning point, else its larger end."""
+    lead = rate / omega
+    if math.atan2(lead, start) % math.pi <= omega * t_end:
+        return math.hypot(start, lead)
+    phase = omega * t_end
+    return max(abs(start), abs(start * math.cos(phase) + lead * math.sin(phase)))
+
+
 def _mean_motion_residual(mean: np.ndarray, h: float, k: float,
                           mass: float) -> float:
     """Relative residual of the mean-motion law m <x>'' + k <x> = 0."""
@@ -465,19 +489,6 @@ class Figure1Result:
     classical: np.ndarray
     snapshots: List[Path] = field(default_factory=list)  # pilot's, then full's
 
-    def checks(self) -> List[CheckResult]:
-        m = self.metrics
-        return [
-            _check("guidance-law-residual", m["residual_p1_rel"], P1_TOL),
-            _check("reciprocity-deviation", m["p2_max_dev"], P2_TOL),
-            _check("classical-trajectory", m["classical_dev"], CLASSICAL_TOL),
-            _check("ehrenfest-residual", m["ehrenfest_rel"], EHRENFEST_TOL),
-            _check("norm-rate-residual", m["norm_rate_max"], NORM_RATE_TOL),
-            _check("oracle-mean", m["oracle_mean_dev"], ORACLE_TOL),
-            _check("oracle-variance", m["oracle_var_dev"], ORACLE_TOL),
-            _check("norm-conservation", m["norm_drift"], NORM_DRIFT_TOL),
-        ]
-
 
 def _figure1_physics(cfg: ScenarioConfig):
     phys = _resolve_phys(cfg)
@@ -498,6 +509,13 @@ def _square(x: float) -> float:
 
 
 def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
+    if (cfg.pilot_width is not None
+            and cfg.variance_ratio != ScenarioConfig.variance_ratio):
+        raise ConfigError(
+            f"variance_ratio = {cfg.variance_ratio!r} sets pilot_width only "
+            f"while it is unset, and pilot_width = {cfg.pilot_width!r} is set "
+            f"(a sweep pins it from its template): set one of the two, or "
+            f"sweep pilot_width instead")
     cfg = resolve_sweep_window(cfg)  # sets t_end and pilot_width
     phys, model, omega_fast = _figure1_physics(cfg)
     cfg = dataclasses.replace(
@@ -514,6 +532,36 @@ def _plan_figure1(cfg: ScenarioConfig) -> RunPlan:
     spec = _steps(cfg, cfg.t_end, 2.0 * math.pi / (200.0 * omega_fast), None,
                   5, "the mean-motion check")
     _check_dt_accuracy(spec, omega_fast)
+    # the motion checks divide by scales of the mean orbit, which is closed
+    # form from the initial moments: the full wave's density is a product of
+    # Gaussians, so its mean x0 lies between the centres at the pilot's
+    # weight r, and the pilot's chirp gives it the velocity v0
+    omega = math.sqrt(model.k_ext / phys.mass)
+    require_normal("figure1", omega=omega)
+    r = 1.0 / (1.0 + _square(cfg.pilot_width / cfg.init_width))
+    x0 = cfg.init_center + r * (cfg.pilot_center - cfg.init_center)
+    v0 = 2.0 * cfg.pilot_chirp * (x0 - cfg.pilot_center) * phys.hbar / phys.mass
+    x_peak = _orbit_peak(x0, v0, omega, spec.t_end)
+    # each logged mean and barycentre is off by up to eps x_max; v_drift's
+    # end stencil weighs three barycentres by (3 + 4 + 1)/2 over h, and the
+    # classical orbit carries that velocity error for up to t_end; the
+    # oracle starts from a mean off by eps x_max and a spectral momentum off
+    # by eps (hbar/m) pi/dx
+    eps, h = sys.float_info.epsilon, spec.dt * spec.output_stride
+    x_max = max(abs(grid.x_min), abs(grid.x_max))
+    v_floor = 4.0 * eps * x_max / h
+    _require_scales(
+        "start the packet further from the trap centre",
+        ("guidance-law-residual", "max|v_drift|",
+         _orbit_peak(v0, -model.k_ext / phys.mass * x0, omega, spec.t_end),
+         v_floor, P1_TOL),
+        ("classical-trajectory", "max|x0|", x_peak,
+         2.0 * eps * x_max + v_floor * spec.t_end, CLASSICAL_TOL),
+        ("ehrenfest-residual", "max|k_ext <x>|", model.k_ext * x_peak,
+         _mean_motion_floor(phys.mass, h, x_max), EHRENFEST_TOL),
+        ("oracle-mean", "max|<x>|", x_peak,
+         eps * (2.0 * x_max + phys.hbar / phys.mass * math.pi / grid.dx
+                * spec.t_end), ORACLE_TOL))
     return RunPlan(cfg, phys, model, grid, spec)
 
 
@@ -651,16 +699,6 @@ class BoostResult:
     velocity: float
     metrics: dict
 
-    def checks(self) -> List[CheckResult]:
-        return [
-            _check("boost-deformation", self.metrics["deformation"],
-                   BOOST_DEFORMATION_TOL),
-            _check("boost-velocity", self.metrics["velocity_dev"],
-                   BOOST_VELOCITY_TOL),
-            _check("norm-conservation", self.metrics["norm_drift"],
-                   NORM_DRIFT_TOL),
-        ]
-
 
 def _plan_boost(cfg: ScenarioConfig) -> RunPlan:
     phys = _resolve_phys(cfg)
@@ -736,15 +774,6 @@ class GroundStateResult1D:
     history: list
     metrics: dict
 
-    def checks(self) -> List[CheckResult]:
-        return [
-            _check("ground-width", self.metrics["width_dev"], GROUND_WIDTH_TOL),
-            _check("ground-eigenvalue", self.metrics["eigenvalue_dev"],
-                   GROUND_EIGENVALUE_TOL),
-            _check("energy-monotone", self.metrics["energy_increase"],
-                   ENERGY_MONOTONE_TOL),
-        ]
-
 
 def _plan_ground_state(cfg: ScenarioConfig) -> RunPlan:
     phys = _resolve_phys(cfg)
@@ -792,14 +821,6 @@ class ChoquardScenarioResult:
     results: list
     metrics: dict
     matched: str
-
-    def checks(self) -> List[CheckResult]:
-        return [
-            _check("choquard-e0", self.metrics["e0_dev"], E0_MATCH_TOL,
-                   note=f"matched by {self.matched} energy"),
-            _check("choquard-n3-scaling", self.metrics["scaling_dev"],
-                   SCALING_RATIO_TOL),
-        ]
 
 
 def _plan_choquard(cfg: ScenarioConfig) -> RunPlan:
@@ -849,27 +870,12 @@ class EhrenfestResult:
     phys: PhysParams
     metrics: dict
 
-    def checks(self) -> List[CheckResult]:
-        return [
-            _check("free-mean-acceleration", self.metrics["free_acc_max"],
-                   FREE_EHRENFEST_TOL),
-            _check("trapped-ehrenfest", self.metrics["trapped_rel"],
-                   EHRENFEST_TOL),
-            _check("norm-conservation", self.metrics["norm_drift"],
-                   NORM_DRIFT_TOL),
-        ]
-
 
 # where ehrenfest's trapped packet starts, at rest
 _TRAPPED_CENTER = 1.5
 
 
 def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
-    stray = [f"ehrenfest takes no {name}: sphere_mass and sphere_radius set "
-             f"its interaction" for name in ("k_self", "stiffness_ratio")
-             if getattr(cfg, name) is not None]
-    if stray:
-        raise ConfigError(stray)
     phys = _resolve_phys(cfg)
     cfg = dataclasses.replace(
         cfg, sphere_mass=cfg.sphere_mass if cfg.sphere_mass is not None else 1.0,
@@ -887,15 +893,11 @@ def _plan_ehrenfest(cfg: ScenarioConfig) -> RunPlan:
     _check_dt_accuracy(spec, math.sqrt((model.k_ext + model.k_self) / phys.mass))
     # the trapped packet starts at rest, so its mean x0 cos(omega t) peaks
     # at x0: a residual scale under the roundoff floor fails a correct run
-    scale = model.k_ext * _TRAPPED_CENTER
-    floor = _mean_motion_floor(phys.mass, spec.dt * spec.output_stride,
-                               max(abs(grid.x_min), abs(grid.x_max)))
-    if floor > EHRENFEST_TOL * scale:
-        raise ConfigError(
-            f"trapped-ehrenfest divides its residual by max|k_ext <x>| = "
-            f"{scale:.3g}; its roundoff floor {floor:.3g} would exceed the "
-            f"tolerance {EHRENFEST_TOL:g} of that: raise k_ext or the output "
-            f"interval")
+    _require_scales("raise k_ext or the output interval", (
+        "trapped-ehrenfest", "max|k_ext <x>|", model.k_ext * _TRAPPED_CENTER,
+        _mean_motion_floor(phys.mass, spec.dt * spec.output_stride,
+                           max(abs(grid.x_min), abs(grid.x_max))),
+        EHRENFEST_TOL))
     return RunPlan(cfg, phys, model, grid, spec,
                    sphere_quadratic_kernel(phys, model))
 
@@ -964,23 +966,73 @@ def _write_choquard(result: ChoquardScenarioResult, out: Path) -> List[Path]:
     return [tsv]
 
 
-def _write_nothing(result, out: Path) -> List[Path]:
-    return []
+class _Scenario(NamedTuple):
+    """A scenario's plan, builder (named: looked up when it runs, so that a
+    test double or a tracing wrapper takes effect), writer (None: the report
+    alone), whether the builder takes the run directory, the config keys it
+    reads and its checks, each (name, metric, tolerance[, note template])."""
+
+    plan: Callable[[ScenarioConfig], RunPlan]
+    builder: str
+    writer: Optional[Callable]
+    takes_dir: bool
+    keys: set
+    checks: tuple
 
 
-# scenario -> (plan, builder, writer, whether the builder takes the run
-# directory, to write frames into as it makes them).  Builders are named,
-# not bound, and looked up in this module when a scenario runs, so
-# rebinding one (a test double, a tracing wrapper) takes effect.
+_PHYS, _GRID = {"mass", "G", "norm_sq"}, {"n_points", "x_min", "x_max"}
+_MODEL = {"k_ext", "k_self", "stiffness_ratio", "sphere_mass", "sphere_radius"}
+_STEPS = {"dt", "t_end", "output_stride"}
+_NORM = ("norm-conservation", "norm_drift", NORM_DRIFT_TOL)
 _SCENARIO_TABLE = {
-    "figure1": (_plan_figure1, "build_figure1", _write_figure1, True),
-    "ground-state": (_plan_ground_state, "build_ground_state", _write_nothing,
-                     False),
-    "choquard": (_plan_choquard, "build_choquard", _write_choquard, False),
-    "ehrenfest": (_plan_ehrenfest, "build_ehrenfest", _write_nothing, False),
-    "boost": (_plan_boost, "build_boost", _write_nothing, False),
+    "figure1": _Scenario(
+        _plan_figure1, "build_figure1", _write_figure1, True,
+        _PHYS | _GRID | _MODEL | _STEPS | {
+            "init_center", "init_width", "pilot_center", "pilot_chirp",
+            "pilot_width", "variance_ratio", "snapshots"},
+        (("guidance-law-residual", "residual_p1_rel", P1_TOL),
+         ("reciprocity-deviation", "p2_max_dev", P2_TOL),
+         ("classical-trajectory", "classical_dev", CLASSICAL_TOL),
+         ("ehrenfest-residual", "ehrenfest_rel", EHRENFEST_TOL),
+         ("norm-rate-residual", "norm_rate_max", NORM_RATE_TOL),
+         ("oracle-mean", "oracle_mean_dev", ORACLE_TOL),
+         ("oracle-variance", "oracle_var_dev", ORACLE_TOL), _NORM)),
+    "ground-state": _Scenario(
+        _plan_ground_state, "build_ground_state", None, False,
+        _PHYS | _GRID | _MODEL | {"relax_tol"},
+        (("ground-width", "width_dev", GROUND_WIDTH_TOL),
+         ("ground-eigenvalue", "eigenvalue_dev", GROUND_EIGENVALUE_TOL),
+         ("energy-monotone", "energy_increase", ENERGY_MONOTONE_TOL))),
+    "choquard": _Scenario(
+        _plan_choquard, "build_choquard", _write_choquard, False,
+        _PHYS | {"radial_points", "r_max", "relax_tol"},
+        (("choquard-e0", "e0_dev", E0_MATCH_TOL, "matched by {matched} energy"),
+         ("choquard-n3-scaling", "scaling_dev", SCALING_RATIO_TOL))),
+    # the sphere keys set its interaction, so it takes no k_self
+    "ehrenfest": _Scenario(
+        _plan_ehrenfest, "build_ehrenfest", None, False,
+        _PHYS | _GRID | _STEPS | {"k_ext", "sphere_mass", "sphere_radius",
+                                  "init_width"},
+        (("free-mean-acceleration", "free_acc_max", FREE_EHRENFEST_TOL),
+         ("trapped-ehrenfest", "trapped_rel", EHRENFEST_TOL), _NORM)),
+    "boost": _Scenario(
+        _plan_boost, "build_boost", None, False,
+        _PHYS | _GRID | _MODEL | _STEPS | {"init_center", "init_velocity"},
+        (("boost-deformation", "deformation", BOOST_DEFORMATION_TOL),
+         ("boost-velocity", "velocity_dev", BOOST_VELOCITY_TOL), _NORM)),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
+
+
+def checks(result) -> List[CheckResult]:
+    """A built scenario's checks, as its row states them, in its order; a
+    note template is filled from the result's fields."""
+    out = []
+    for name, metric, tol, *note in _SCENARIO_TABLE[result.cfg.scenario].checks:
+        value = float(result.metrics[metric])
+        out.append(CheckResult(name, value <= tol, value, tol,
+                               note[0].format_map(vars(result)) if note else ""))
+    return out
 
 
 def _out_dir_problems(out_dir) -> List[str]:
@@ -1003,15 +1055,15 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> RunReport:
     if errors:
         raise ConfigError(errors)
     start = time.perf_counter()
-    _, builder, writer, takes_dir = _SCENARIO_TABLE[cfg.scenario]
-    build = globals()[builder]
+    row = _SCENARIO_TABLE[cfg.scenario]
+    build = globals()[row.builder]
     # a builder that fails leaves the run directory as it was
-    result = build(cfg, out_dir) if takes_dir else build(cfg)
+    result = build(cfg, out_dir) if row.takes_dir else build(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = [str(path) for path in writer(result, out)]
+    outputs = [str(path) for path in row.writer(result, out)] if row.writer else []
     wall = time.perf_counter() - start
-    report = RunReport(cfg.scenario, result.checks(), result.metrics, wall,
+    report = RunReport(cfg.scenario, checks(result), result.metrics, wall,
                        outputs)
     report_path = out / "report.txt"
     with open(report_path, "w") as fh:
@@ -1039,7 +1091,9 @@ def resolve_sweep_window(cfg: ScenarioConfig) -> ScenarioConfig:
     Stiffness sweeps then vary only the model: each member's soliton
     sits at its own stationary width inside the same pilot, so the
     soliton/pilot scale separation (and with it the guidance-law
-    residual) genuinely tracks the stiffness ratio.
+    residual) genuinely tracks the stiffness ratio.  A ``variance_ratio``
+    spent on the pinned pilot returns to its default, since figure1
+    refuses one set beside ``pilot_width``.
     """
     if cfg.scenario != "figure1" or None not in (cfg.t_end, cfg.pilot_width):
         return cfg
@@ -1048,8 +1102,10 @@ def resolve_sweep_window(cfg: ScenarioConfig) -> ScenarioConfig:
              else soliton_width_param(model, phys))
     derived = {"t_end": 2.0 * (2.0 * math.pi / omega_fast),
                "pilot_width": math.sqrt(_square(a_phi) / cfg.variance_ratio)}
-    return dataclasses.replace(
-        cfg, **{k: v for k, v in derived.items() if getattr(cfg, k) is None})
+    changes = {k: v for k, v in derived.items() if getattr(cfg, k) is None}
+    if "pilot_width" in changes:
+        changes["variance_ratio"] = ScenarioConfig.variance_ratio
+    return dataclasses.replace(cfg, **changes)
 
 
 def sweep(cfg: ScenarioConfig, param: str, values: Sequence[float],

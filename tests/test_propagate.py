@@ -35,7 +35,7 @@ from snsim.propagate import (
     run_lockstep,
     write_snapshots,
 )
-from snsim.scenarios import ScenarioConfig, build_ground_state
+from snsim.scenarios import ScenarioConfig, build_ground_state, checks
 
 GRID = Grid1D(2048, -24.0, 24.0)
 PHYS = PhysParams()
@@ -523,7 +523,7 @@ class TestImaginaryTime:
         result = build_ground_state(
             ScenarioConfig(scenario="ground-state", k_self=6.047831353619284))
         assert result.metrics["energy_increase"] == 0.0
-        assert all(c.passed for c in result.checks())
+        assert all(c.passed for c in checks(result))
 
     def test_non_convergence_raises(self):
         seed = gaussian_packet(GRID, 0.0, 2.0)

@@ -1,5 +1,6 @@
 """Property tests: config round trip, validated configs run, invariances."""
 
+import dataclasses
 import tempfile
 
 import numpy as np
@@ -17,6 +18,7 @@ from snsim.potentials import (
 )
 from snsim.propagate import _kernel_family
 from snsim.scenarios import (
+    _SCENARIO_TABLE,
     SCENARIOS,
     ScenarioConfig,
     parse_config,
@@ -62,21 +64,35 @@ KEYS = {
 
 @st.composite
 def configs(draw):
-    """A scenario with a few keys overridden, on a small grid.
+    """A scenario with a few of the keys it reads overridden, on a small grid.
 
     At most 256 nodes and 128 radial points, and 300 steps where dt and
-    t_end are both set, so that one example runs in milliseconds.
+    t_end are both set, so that one example runs in milliseconds.  A key
+    the scenario does not read is refused, so none is drawn.
     """
     scenario = draw(st.sampled_from(SCENARIOS))
-    chosen = set(draw(st.sets(st.sampled_from(sorted(KEYS)), max_size=6)))
+    reads = _SCENARIO_TABLE[scenario].keys
+    chosen = draw(st.sets(st.sampled_from(sorted(reads & set(KEYS))), max_size=6))
     values = {k: draw(KEYS[k]) for k in sorted(chosen)}
-    values.update(scenario=scenario,
-                  n_points=draw(st.sampled_from([1, 64, 128, 256])),
-                  radial_points=draw(st.sampled_from([32, 64, 128])))
-    if draw(st.booleans()):
+    values["scenario"] = scenario
+    if "n_points" in reads:
+        values["n_points"] = draw(st.sampled_from([1, 64, 128, 256]))
+    if "radial_points" in reads:
+        values["radial_points"] = draw(st.sampled_from([32, 64, 128]))
+    if "t_end" in reads and draw(st.booleans()):
         values["t_end"] = draw(_finite(0.05, 1.0))
         values["dt"] = values["t_end"] / draw(st.integers(20, 300))
+    if "pilot_center" in reads and draw(st.booleans()):
+        # the packet at the pilot's centre, at rest where that is 0
+        values["init_center"] = values["pilot_center"] = draw(
+            st.sampled_from([0.0, 0.5]))
     return ScenarioConfig(**values)
+
+
+def test_configs_draw_every_key():
+    # a new key is drawn by the fuzz, or this fails
+    drawn = set(KEYS) | {"scenario", "n_points", "radial_points", "t_end", "dt"}
+    assert drawn == {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 @PROPERTY

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from snsim.scenarios import (
     build_ehrenfest,
     build_figure1,
     build_ground_state,
+    checks,
     parse_config,
     render_config,
     resolve_sweep_window,
@@ -142,6 +144,20 @@ PLAN_RULES = {
         template, "norm_sq", 1e308,
         f"{scenario} needs normal, finite scales: sum_rho = inf")
        for scenario, template in NORM_OVERFLOW.items()},
+    # ran at rest and reported FAIL on four lines (exit 1): each check
+    # divided by a motion scale of roundoff size
+    "figure1-at-rest": ({"n_points": 1024}, "init_center", 0.0,
+                        "guidance-law-residual divides its residual by "
+                        "max|v_drift| = 0; its roundoff floor 3.58e-11"),
+    # ran and reported FAIL ehrenfest-residual 6.4e-5 (exit 1)
+    "figure1-near-rest": ({"n_points": 1024}, "init_center", 1e-6,
+                          "ehrenfest-residual divides its residual by max|k_ext "
+                          "<x>| = 9.99e-07; its roundoff floor 4.8e-08"),
+    # ran, ignoring variance_ratio: a variance_ratio sweep wrote equal rows
+    "figure1-variance-ratio-with-pilot-width": (
+        {"n_points": 1024, "pilot_width": 5.0}, "variance_ratio", 0.01,
+        "variance_ratio = 0.01 sets pilot_width only while it is unset, and "
+        "pilot_width = 5.0 is set"),
     # dx underflowed to 0: accepted, then "has no density on the 4096-node
     # grid [0, 4.94066e-324)" (exit 1)
     "ground-state-dx-underflow": ({"scenario": "ground-state", "x_min": 0.0},
@@ -215,7 +231,7 @@ class TestParseConfig:
 
     def test_round_trip(self):
         cfg = parse_config(
-            "scenario = boost\nk_self = 250\ninit_velocity = 3.5\n"
+            "scenario = figure1\nk_self = 250\ninit_center = 0.5\n"
             "n_points = 1024\nsnapshots = on\n"
         )
         again = parse_config(render_config(cfg))
@@ -230,7 +246,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("text, expected", [
         ("k_ext = -1", {"k_ext must be >= 0"}),
         ("n_points = 1000", {"n_points must be a power of two"}),
-        ("mass = -1\nr_max = -2\nradial_points = 4",
+        ("mass = -1\nr_max = -2\nradial_points = 4\nscenario = choquard",
          {"mass must be > 0", "r_max must be > 0", "radial_points must be >= 8"}),
         ("sphere_mass = 1\nsphere_radius = 2\nk_self = 0.9",
          {"k_self=0.9 disagrees with the sphere value G*M^2*N^2/(2R^3)=0.0625"}),
@@ -254,11 +270,98 @@ class TestParseConfig:
     @pytest.mark.parametrize("key", ["k_self", "stiffness_ratio"])
     def test_ehrenfest_refuses_stiffness_keys(self, key):
         # ehrenfest simulates the sphere's stiffness; an explicit one was
-        # accepted and silently ignored
+        # accepted and silently ignored, and is now refused as every key
+        # a scenario does not read is
         errors = validate_config(ScenarioConfig(scenario="ehrenfest",
                                                 **{key: 3.0}))
-        assert errors == [f"ehrenfest takes no {key}: sphere_mass and "
-                          f"sphere_radius set its interaction"]
+        assert errors == [f"ehrenfest takes no {key}: {key} = 3.0 would be ignored"]
+
+
+# a valid value, away from its default, of each key some scenario does not read
+NON_DEFAULT = {
+    "n_points": 1024, "x_min": -20.0, "x_max": 20.0, "k_ext": 2.0, "k_self": 3.0,
+    "stiffness_ratio": 4.0, "sphere_mass": 2.0, "sphere_radius": 3.0, "dt": 1e-3,
+    "t_end": 0.5, "output_stride": 2, "init_center": 0.5, "init_width": 0.5,
+    "init_velocity": 1.0, "pilot_center": 0.5, "pilot_chirp": -0.02,
+    "pilot_width": 4.0, "variance_ratio": 0.01, "radial_points": 1024,
+    "r_max": 30.0, "relax_tol": 1e-8, "snapshots": True,
+}
+TABLE = snsim.scenarios._SCENARIO_TABLE
+UNREAD = [(scenario, f.name) for scenario, row in TABLE.items()
+          for f in dataclasses.fields(ScenarioConfig)[1:] if f.name not in row.keys]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestScenarioKeys:
+    """Each scenario reads the keys its row lists and refuses every other."""
+
+    def test_accepted_pairs(self):
+        assert {s: len(row.keys) for s, row in TABLE.items()} == {
+            "figure1": 21, "ground-state": 12, "choquard": 6, "ehrenfest": 13,
+            "boost": 16}
+        assert len(UNREAD) == 125 - 68
+
+    @pytest.mark.parametrize("scenario, key", UNREAD,
+                             ids=[f"{s}-{k}" for s, k in UNREAD])
+    def test_unread_key_refused(self, tmp_path, capsys, scenario, key):
+        # each ran, ignoring the key, with exit 0: ground-state's dt,
+        # choquard's n_points, a boost sweep over init_width of equal rows
+        value = NON_DEFAULT[key]
+        text = snsim.scenarios._render_value(key, value)
+        message = f"{scenario} takes no {key}: {key} = {text} would be ignored"
+        assert validate_config(ScenarioConfig(scenario, **{key: value})) == [message]
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{key} = {text}\n")
+        out = tmp_path / "out"
+        assert main(["run", scenario, "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        if isinstance(value, bool):  # the template sets it
+            sweep_args = ["--config", str(cfg_path), "--param", "mass",
+                          "--values", "2"]
+        else:
+            sweep_args = ["--param", key, "--values", f"{value!r}"]
+            message = f"{key}={value:g}: {message}"
+        assert main(["sweep", "--scenario", scenario, *sweep_args,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", list(TABLE))
+    def test_listed_keys_are_read(self, monkeypatch, scenario):
+        reads = set()
+        names = {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+        class Recording(ScenarioConfig):
+            def __getattribute__(self, name):
+                if name in names and not paused:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        # dataclasses.replace copies every field: that is no read
+        paused, replace = False, dataclasses.replace
+
+        def quiet_replace(obj, **changes):
+            nonlocal paused
+            paused = True
+            try:
+                return replace(obj, **changes)
+            finally:
+                paused = False
+
+        monkeypatch.setattr(dataclasses, "replace", quiet_replace)
+        row = TABLE[scenario]
+        cfg = Recording(scenario)
+        reads.clear()
+        row.plan(cfg)
+        getattr(snsim.scenarios, row.builder)(cfg)
+        assert row.keys <= reads, sorted(row.keys - reads)
+
+    def test_readme_lists_the_keys(self):
+        rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", README.read_text(),
+                          re.MULTILINE)
+        assert {s: set(re.findall(r"`(\w+)`", keys)) for s, keys in rows} == {
+            s: row.keys for s, row in TABLE.items()}
 
 
 class TestRunPlan:
@@ -300,7 +403,7 @@ class TestRunPlan:
         # default grid must keep this
         fine = build_boost(ScenarioConfig(scenario="boost"))
         coarse = build_boost(ScenarioConfig(scenario="boost", n_points=2048))
-        assert all(c.passed for c in fine.checks() + coarse.checks())
+        assert all(c.passed for c in checks(fine) + checks(coarse))
         assert coarse.metrics["deformation"] == pytest.approx(
             fine.metrics["deformation"], rel=1e-7, abs=0.0)
 
@@ -913,7 +1016,7 @@ class TestCli:
     def test_sweep_ehrenfest_k_self_rejected(self, tmp_path, capsys):
         err = self._sweep_rejected(tmp_path, capsys, "k_self", "3",
                                    "--scenario", "ehrenfest")
-        assert "sphere_mass and sphere_radius" in err
+        assert "ehrenfest takes no k_self: k_self = 3.0 would be ignored" in err
 
     def test_ehrenfest_k_self_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "ehr.cfg"
@@ -1035,6 +1138,61 @@ class TestCli:
         err = self._sweep_rejected(tmp_path, capsys, param, f"{value!r}",
                                    "--config", str(cfg_path))
         assert fragment in err
+
+    def test_figure1_at_rest_refused(self, tmp_path, capsys):
+        # a correct run at rest reported FAIL on these four lines (exit 1)
+        err = self._run_rejected(tmp_path, capsys, "figure1",
+                                 "init_center = 0\npilot_center = 0\n")
+        assert [line.split(" divides")[0] for line in err.splitlines()] == [
+            f"config error: {name}" for name in (
+                "guidance-law-residual", "classical-trajectory",
+                "ehrenfest-residual", "oracle-mean")]
+        assert "roundoff floor" in err and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("init_center = 1e-6\n", "ehrenfest-residual divides its residual by "
+         "max|k_ext <x>| = 9.99e-07; its roundoff floor 4.8e-08 would exceed "
+         "the tolerance 1e-05 of that"),
+        ("pilot_width = 5\nvariance_ratio = 0.01\n",
+         "variance_ratio = 0.01 sets pilot_width only while it is unset, and "
+         "pilot_width = 5.0 is set"),
+    ], ids=["near-rest", "variance-ratio-with-pilot-width"])
+    def test_figure1_plan_refuses_through_run(self, tmp_path, capsys, text,
+                                              fragment):
+        assert fragment in self._run_rejected(tmp_path, capsys, "figure1", text)
+        assert not (tmp_path / "out").exists()
+
+    def test_variance_ratio_sweep_refused(self, tmp_path, capsys):
+        # the sweep pins pilot_width from its template, so each member wrote
+        # the same row
+        err = self._sweep_rejected(tmp_path, capsys, "variance_ratio",
+                                   "0.001,0.01", "--scenario", "figure1")
+        assert err.startswith("config error: variance_ratio=0.01: variance_ratio "
+                              "= 0.01 sets pilot_width only while it is unset, "
+                              "and pilot_width = 5.622")
+        assert err.endswith(" is set (a sweep pins it from its template): set "
+                            "one of the two, or sweep pilot_width instead\n")
+        assert err.count("\n") == 1
+
+    def test_stiffness_sweep_from_a_variance_ratio(self, tmp_path, capsys):
+        # the template's variance_ratio sets the pinned pilot, as the same
+        # pilot_width set directly does
+        template = ScenarioConfig(n_points=1024, variance_ratio=0.002)
+        pinned = resolve_sweep_window(template)
+        assert pinned.variance_ratio == ScenarioConfig.variance_ratio
+        trees = []
+        for name, cfg in (("ratio", template),
+                          ("width", ScenarioConfig(n_points=1024,
+                                                   pilot_width=pinned.pilot_width))):
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(render_config(cfg))
+            out = tmp_path / name
+            assert main(["sweep", "--param", "stiffness_ratio", "--values", "100",
+                         "--config", str(cfg_path), "--out", str(out)]) == 0
+            trees.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*.csv"))
+                          + [out / "sweep.tsv"]})
+        assert trees[0] == trees[1] and len(trees[0]) == 4
 
     def test_run_validates_its_own_scenario(self, tmp_path, capsys):
         # the file names ehrenfest, whose plan refuses k_self; figure1 runs
