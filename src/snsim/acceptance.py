@@ -8,12 +8,12 @@ so their tolerances are stated once, with the scenarios.  Heavy runs
 are shared through :class:`AcceptanceContext`, so the whole battery
 stays well inside the runtime budget.
 
-:func:`run_acceptance` splits the runs over two processes.  The runs that
-do not use the default figure1 run (9e's three self-trap runs, the
-Choquard pair, 9b's time reversal and line 8's ratio-10 and
-ratio-100 members) go to one worker process, forked before anything is
-built, while the calling process builds figure1, boost and 9d's rotated
-analysis.  Every run has one implementation, and the lines, their order
+:func:`run_acceptance` splits the runs over two processes.  9e's three
+self-trap runs, the Choquard pair and line 8's ratio-10 and ratio-100
+members go to one worker process, forked before anything is built,
+while the calling process builds figure1, boost, 9d's rotated analysis
+and 9b's time reversal: the split that ends both sides at about the same
+time.  Every run has one implementation, and the lines, their order
 and their values are those of a battery run in one process.  The
 worker's time and memory are its own: they are in neither the calling
 process's ``ru_maxrss`` nor a tracer that wraps its functions.  The
@@ -58,11 +58,12 @@ TIME_REVERSAL_TOL = 1e-8
 SCALING_LAW_TOL = 1e-10
 GAUGE_TOL = 1e-12
 DT_ORDER_RANGE = (3.5, 4.5)
+DT_ORDER_DT = 1e-3  # 9e's coarsest step, then its half and quarter
 
 
-# the runs that do not use the default figure1 run, longest first: the
-# ones run_acceptance hands to its worker process
-_WORKER_RUNS = ("dt_order", "choquard", "time_reversal", "sweep_members")
+# the runs run_acceptance hands to its worker process, longest first; none
+# uses the default figure1 run
+_WORKER_RUNS = ("dt_order", "choquard", "sweep_members")
 
 
 def _make(name: str):
@@ -217,10 +218,15 @@ def _dt_order() -> CheckResult:
         _, out = evolve_self_harmonic(psi0, model, spec, phys)
         return out.values
 
-    ref = final_state(1.25e-4)
-    err_coarse = float(np.max(np.abs(final_state(1e-3) - ref)))
-    err_fine = float(np.max(np.abs(final_state(5e-4) - ref)))
-    ratio = err_coarse / err_fine
+    return _dt_order_check([final_state(DT_ORDER_DT / 2**j) for j in range(3)])
+
+
+def _dt_order_check(finals) -> CheckResult:
+    """9e from the final fields u(dt), u(dt/2), u(dt/4) of one run: the
+    self-convergence ratio max|u(dt) - u(dt/2)| / max|u(dt/2) - u(dt/4)|,
+    2^p for a scheme of order p, so 4 for Strang splitting."""
+    coarse, half, quarter = finals
+    ratio = float(np.max(np.abs(coarse - half)) / np.max(np.abs(half - quarter)))
     lo, hi = DT_ORDER_RANGE
     ok = lo <= ratio <= hi
     return CheckResult("9e-dt-second-order", ok, ratio, hi,
@@ -327,7 +333,7 @@ def run_acceptance(ctx: Optional[AcceptanceContext] = None,
         ctx._pending = dict(worker.futures) if worker else {}
         # this process's own runs first: it then waits for the worker
         # only when it has nothing left to build
-        for name in ("figure1", "boost", "gauge_invariance"):
+        for name in ("figure1", "boost", "gauge_invariance", "time_reversal"):
             getattr(ctx, name)
         for row in BATTERY:
             results.append(row(ctx))

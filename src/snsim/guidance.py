@@ -23,11 +23,20 @@ v_drift and the norm rate, the only time derivatives.  A caller that
 makes the pairs one at a time (figure1 advances its two runs in lock
 step) samples each as it is made and keeps no frame;
 :func:`decompose_run` does both steps over series of stored frames.
+
+One frame costs two FFTs.  The pilot's amplitude and phase derivatives
+are needed at x0 only, so they come from one FFT of psi_l evaluated there
+as its trigonometric interpolant (Boyd 2001, Chebyshev and Fourier
+Spectral Methods, ch. 2), exact between nodes for a resolved pilot.
+v_int comes from one FFT of phi by Parseval's identity, which makes it
+real by construction.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+from array import array
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, List, NamedTuple, Sequence
@@ -35,13 +44,7 @@ from typing import Iterable, List, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ExtractionError
-from .fields import (
-    MASK_RELATIVE_THRESHOLD,
-    PhaseAmplitude,
-    WaveField,
-    phase_amplitude,
-    spectral_gradient,
-)
+from .fields import MASK_RELATIVE_THRESHOLD, Grid1D, WaveField
 from .potentials import PhysParams
 from .textio import write_table
 
@@ -70,7 +73,7 @@ class SolitonState:
     valid: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VelocityDecomposition:
     """One output-time row of the guidance analysis."""
 
@@ -98,8 +101,7 @@ def extract_soliton(psi_nl: WaveField, psi_l: WaveField) -> SolitonState:
     if psi_nl.grid != psi_l.grid:
         raise ExtractionError("psi_nl and psi_l live on different grids")
     grid = psi_l.grid
-    amp_l = np.abs(psi_l.values)
-    valid = amp_l > MASK_RELATIVE_THRESHOLD * amp_l.max(initial=0.0)
+    valid = _support(psi_l)
     valid_fraction = float(valid.sum()) / grid.n_points
     if valid_fraction < MIN_VALID_FRACTION:
         raise ExtractionError(
@@ -124,44 +126,85 @@ def extract_soliton(psi_nl: WaveField, psi_l: WaveField) -> SolitonState:
     return SolitonState(phi, x0, norm_sq, width, valid_fraction, valid)
 
 
-def _interp_valid(grid, values: np.ndarray, valid: np.ndarray, x: float) -> float:
-    """Linear interpolation at x, requiring both bracketing nodes valid."""
-    pos = (x - grid.x_min) / grid.dx
-    i = int(np.floor(pos))
-    if i < 0 or i + 1 >= grid.n_points:
+class PilotPoint(NamedTuple):
+    """The pilot psi_l = A exp(i S) at one point: A and the derivatives of
+    S and log A the guidance law reads there."""
+
+    amplitude: float
+    phase_gradient: float  # S'
+    log_amp_gradient: float  # A'/A
+    phase_laplacian: float  # S''
+
+
+@functools.lru_cache(maxsize=8)
+def _point_tables(grid: Grid1D):
+    """Wavenumber tables of the trigonometric interpolant on ``grid``.
+
+    The fft index j = r b + c (b ~ sqrt(n) columns) has the wavenumber
+    (r' b + c) dk, with r' the signed row, so exp(i k d) is the outer
+    product of a row table and a column table.  The weights k and k^2
+    give the first and second derivatives.
+    """
+    n = grid.n_points
+    n_rows = 1 << n.bit_length() // 2  # 2^ceil(k/2) rows for n = 2^k
+    cols = n // n_rows
+    dk = 2.0 * np.pi / grid.length
+    row_k = dk * cols * np.fft.fftfreq(n_rows, 1.0 / n_rows)
+    col_k = dk * np.arange(cols)
+    k = grid.wavenumbers
+    return row_k, col_k, np.stack([k, k * k])
+
+
+def _support(psi_l: WaveField) -> np.ndarray:
+    """Nodes where |psi_l| exceeds the relative mask threshold."""
+    amp_l = np.abs(psi_l.values)
+    return amp_l > MASK_RELATIVE_THRESHOLD * amp_l.max(initial=0.0)
+
+
+def _pilot_at(psi_l: WaveField, x: float, valid: np.ndarray) -> PilotPoint:
+    """The pilot's amplitude and phase derivatives at ``x`` from one FFT.
+
+    psi_l and its first two derivatives at x are the trigonometric
+    interpolant sum_k c_k (ik)^j exp(ik (x - x_min)) / n, Nyquist mode
+    dropped, so the result does not depend on where x falls between
+    nodes.  With r = psi'/psi, S' = Im r, A'/A = Re r and
+    S'' = Im(psi''/psi - r^2).  Both nodes around x must be ``valid``.
+    """
+    grid = psi_l.grid
+    n = grid.n_points
+    d = x - grid.x_min
+    i = int(np.floor(d / grid.dx))
+    if i < 0 or i + 1 >= n:
         raise ExtractionError(f"x={x:.6g} outside the grid")
     if not (valid[i] and valid[i + 1]):
         raise ExtractionError(f"x={x:.6g} outside the valid mask")
-    frac = pos - i
-    return float((1.0 - frac) * values[i] + frac * values[i + 1])
+    row_k, col_k, weights = _point_tables(grid)
+    coeffs = np.fft.fft(psi_l.values)
+    coeffs[n // 2] = 0.0
+    coeffs *= (np.exp(1j * d * row_k)[:, None] * np.exp(1j * d * col_k)).reshape(-1)
+    value = complex(coeffs.sum())
+    (k_re, k_im), (k2_re, k2_im) = weights @ coeffs.view(np.float64).reshape(-1, 2)
+    ratio = complex(-k_im, k_re) / value  # psi'/psi, psi' = i sum k c
+    curvature = complex(-k2_re, -k2_im) / value - ratio * ratio
+    return PilotPoint(abs(value) / n, ratio.imag, ratio.real, curvature.imag)
 
 
 def v_dbb(psi_l: WaveField, x0: float, phys: PhysParams = PhysParams()) -> float:
     """Pilot guidance velocity (hbar/m) grad(arg psi_l) at the barycentre."""
-    pa = phase_amplitude(psi_l)
-    grad = _interp_valid(psi_l.grid, pa.phase_gradient, pa.valid, x0)
-    return phys.hbar / phys.mass * grad
+    return phys.hbar / phys.mass * _pilot_at(psi_l, x0, _support(psi_l)).phase_gradient
 
 
 def v_int(state: SolitonState, phys: PhysParams = PhysParams()) -> float:
     """Internal velocity Re<phi|(hbar/i m) d/dx|phi> / <phi|phi>.
 
-    The imaginary part of the expectation is a pure boundary/quadrature
-    artifact; it is checked against a 1e-8 relative budget and logged.
+    By Parseval <phi|d/dx|phi> = i (dx/n) sum_k k |c_k|^2 for the FFT c
+    of phi (Nyquist mode dropped), so v_int = (hbar/m) sum k |c|^2 /
+    sum |c|^2: one FFT, and real by construction.
     """
-    phi = state.phi
-    dphi = spectral_gradient(phi).values
-    integral = complex(np.sum(np.conj(phi.values) * dphi) * phi.grid.dx)
-    scale = phys.hbar / (phys.mass * state.norm_sq)
-    value = scale * integral.imag
-    spurious = scale * integral.real
-    denom = max(abs(value), RESIDUAL_FLOOR)
-    if abs(spurious) > 1e-8 * max(denom, 1.0):
-        logger.warning(
-            "v_int imaginary part %.3e is not negligible (value %.3e)",
-            spurious, value,
-        )
-    return value
+    coeffs = np.fft.fft(state.phi.values)
+    power = coeffs.real * coeffs.real + coeffs.imag * coeffs.imag
+    k = state.phi.grid.gradient_wavenumbers
+    return phys.hbar / phys.mass * float(k @ power / power.sum())
 
 
 def v_drift_series(times: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -185,14 +228,12 @@ def v_drift_series(times: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm_rate_rhs(pa: PhaseAmplitude, grid, state: SolitonState,
-                   vint: float, phys: PhysParams) -> float:
-    lap = _interp_valid(grid, pa.phase_laplacian, pa.valid, state.x0)
-    log_grad = _interp_valid(grid, pa.log_amp_gradient, pa.valid, state.x0)
+def _norm_rate_rhs(pilot: PilotPoint, state: SolitonState, vint: float,
+                   phys: PhysParams) -> float:
     # <phi|(hbar/i m) d/dx|phi> = v_int * <phi|phi>
     return (
-        phys.hbar / phys.mass * lap * state.norm_sq
-        - 2.0 * log_grad * vint * state.norm_sq
+        phys.hbar / phys.mass * pilot.phase_laplacian * state.norm_sq
+        - 2.0 * pilot.log_amp_gradient * vint * state.norm_sq
     )
 
 
@@ -215,22 +256,20 @@ def frame_sample(t: float, psi_l: WaveField, psi_nl: WaveField,
     """Extract the soliton of one output pair and evaluate, at its
     barycentre, everything the rows need but the time derivatives."""
     state = extract_soliton(psi_nl, psi_l)
-    pa = phase_amplitude(psi_l)
-    grid = psi_l.grid
+    pilot = _pilot_at(psi_l, state.x0, state.valid)
     vint = v_int(state, phys)
-    grad = _interp_valid(grid, pa.phase_gradient, pa.valid, state.x0)
     return FrameSample(t, state.x0, state.norm_sq, vint,
-                       phys.hbar / phys.mass * grad,
-                       _interp_valid(grid, pa.amplitude, pa.valid, state.x0),
-                       _norm_rate_rhs(pa, grid, state, vint, phys),
+                       phys.hbar / phys.mass * pilot.phase_gradient,
+                       pilot.amplitude, _norm_rate_rhs(pilot, state, vint, phys),
                        state.width, state.valid_fraction)
 
 
 def decompose_samples(samples: Sequence[FrameSample]) -> List[VelocityDecomposition]:
-    """One row per output time from a run's frame samples, in time order:
-    v_drift and the norm rate are differenced from the sampled series."""
+    """One row per output time from a run's frame samples (or an array of
+    them, one row each), in time order: v_drift and the norm rate are
+    differenced from the sampled series."""
     (times, x0s, norms, vints, vdbbs, a_l_at_x0, rhs, widths,
-     fractions) = np.array(samples, dtype=float).reshape(len(samples), 9).T
+     fractions) = np.asarray(samples, dtype=float).reshape(len(samples), 9).T
     a_l_sq = a_l_at_x0**2
 
     vdrift = v_drift_series(times, x0s)
@@ -273,17 +312,18 @@ def decompose_run(
     """Full guidance analysis over one run's snapshot series.
 
     One pass over any iterables of frames samples each frame as it comes,
-    keeping one frame's arrays alive at a time, then differences the
-    samples.  Returns one row per output time.
+    keeping one frame's arrays alive at a time and its samples as packed
+    doubles, then differences the samples.  Returns one row per output
+    time.
     """
     missing = object()
-    samples = []
+    samples = array("d")
     for t, psi_l, psi_nl in zip_longest(times, pilot_fields, full_fields,
                                         fillvalue=missing):
         if any(v is missing for v in (t, psi_l, psi_nl)):
             raise ExtractionError("times and snapshot series differ in length")
-        samples.append(frame_sample(t, psi_l, psi_nl, phys))
-    return decompose_samples(samples)
+        samples.extend(frame_sample(t, psi_l, psi_nl, phys))
+    return decompose_samples(np.frombuffer(samples).reshape(-1, 9))
 
 
 def _report_stability(rows: List[VelocityDecomposition]):

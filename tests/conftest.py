@@ -1,3 +1,6 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from snsim.potentials import PhysParams
@@ -22,3 +25,20 @@ def small_figure1():
 @pytest.fixture(scope="session")
 def small_figure1_cfg():
     return SMALL_FIG_CFG
+
+
+# the transforms of numpy.fft; the frequency and shift helpers are not counted
+FFT_TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2",
+                  "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """A Counter of the numpy.fft transforms called while the test runs."""
+    calls = Counter()
+    for name in FFT_TRANSFORMS:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -17,12 +17,14 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import snsim.acceptance as acc
 from snsim.acceptance import BATTERY, AcceptanceContext, run_acceptance
 from snsim.cli import main
 from snsim.errors import SimulationError
+from snsim.fields import Grid1D, gaussian_packet
 from snsim.scenarios import CheckResult
 
 
@@ -86,6 +88,37 @@ def test_check_lines_pinned(ctx):
     fig, boost = ctx.figure1.metrics, ctx.boost.metrics
     assert results[7].value == max(fig["oracle_mean_dev"], fig["oracle_var_dev"])
     assert results[10].value == max(fig["norm_drift"], boost["norm_drift"])
+
+
+def test_dt_order_makes_7000_steps(fft_calls):
+    # u(dt), u(dt/2) and u(dt/4) to t = 1 at dt = 1e-3: 1000 + 2000 + 4000
+    # Strang steps, one fft and one ifft each
+    assert acc._dt_order().passed
+    assert fft_calls == {"fft": 7000, "ifft": 7000}
+
+
+def test_dt_order_fails_a_first_order_splitting():
+    # 9e's own problem stepped by Lie splitting, a full kinetic step then a
+    # full potential step: the self-convergence ratio reads 2, not 4
+    grid = Grid1D(1024, -16.0, 16.0)
+    x, k = grid.nodes, grid.wavenumbers
+    psi0 = gaussian_packet(grid, 1.0, 0.8).values
+
+    def lie_final(dt):
+        kinetic = np.exp(-0.5j * k * k * dt)
+        psi = psi0
+        for _ in range(round(1.0 / dt)):
+            psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+            rho = psi.real**2 + psi.imag**2
+            mean = np.sum(rho * x) / np.sum(rho)
+            psi = psi * np.exp(-1j * dt * (0.5 * x * x + 5.0 * (x - mean) ** 2))
+        return psi
+
+    check = acc._dt_order_check([lie_final(acc.DT_ORDER_DT / 2**j)
+                                 for j in range(3)])
+    assert check.value == pytest.approx(2.0, abs=0.1)
+    assert not check.passed
+    assert check.line().startswith("FAIL 9e-dt-second-order: value=")
 
 
 def _fields(results):

@@ -11,8 +11,10 @@ from snsim.fields import Grid1D, WaveField, gaussian_packet
 from snsim.guidance import (
     CSV_COLUMNS,
     _norm_rate_rhs,
+    _pilot_at,
     decompose_run,
     extract_soliton,
+    frame_sample,
     guidance_law_report,
     norm_rate_report,
     reciprocity_report,
@@ -25,7 +27,7 @@ from snsim.oracles import coherent_state
 from snsim.potentials import PhysParams
 from snsim.propagate import EvolutionSpec, evolve_linear, evolve_self_harmonic
 from snsim.potentials import harmonic_external
-from snsim.scenarios import build_figure1, soliton_width_param
+from snsim.scenarios import ScenarioConfig, build_figure1, soliton_width_param
 
 GRID = Grid1D(2048, -24.0, 24.0)
 PHYS = PhysParams()
@@ -165,14 +167,12 @@ class TestNormRate:
         # law reads 0 = 0 (a static series measures a zero rate, and the
         # formula side vanishes because the pilot has no amplitude slope
         # or phase curvature)
-        from snsim.fields import phase_amplitude
-
         k = GRID.wavenumbers[12]
         psi_l = WaveField(GRID, np.exp(1j * k * GRID.nodes))
         factor = gaussian_packet(GRID, 0.0, 0.5)
         psi_nl = WaveField(GRID, psi_l.values * factor.values)
         state = extract_soliton(psi_nl, psi_l)
-        rhs = _norm_rate_rhs(phase_amplitude(psi_l), GRID, state,
+        rhs = _norm_rate_rhs(_pilot_at(psi_l, state.x0, state.valid), state,
                              v_int(state, PHYS), PHYS)
         assert abs(rhs) < 1e-8
         times = np.array([0.0, 0.1, 0.2])
@@ -334,6 +334,26 @@ class TestStreaming:
         ctx = SimpleNamespace(figure1=fig)
         peak = traced_peak(lambda: _gauge_invariance(ctx))
         assert peak < frame_list_bytes
+
+
+class TestWorkAndGrid:
+    """A frame costs two FFTs, and its values do not depend on the grid."""
+
+    def test_frame_sample_makes_two_ffts(self, small_figure1, fft_calls):
+        fig = small_figure1
+        frame_sample(fig.times[7], fig.pilot_log.fields[7],
+                     fig.full_log.fields[7], fig.phys)
+        assert fft_calls == {"fft": 2}
+
+    def test_guidance_metrics_agree_at_2048_and_4096_nodes(self, small_figure1):
+        # the pilot is evaluated at x0 as its trigonometric interpolant, so
+        # halving the grid moves p1, p2, 3a and 4 by at most 3.5e-8;
+        # linear interpolation of A_L(x0) moved p2 by 6.0e-2
+        coarse = small_figure1.metrics
+        fine = build_figure1(ScenarioConfig(scenario="figure1")).metrics
+        for name in ("residual_p1_rel", "p2_max_dev", "classical_dev",
+                     "norm_rate_max"):
+            assert coarse[name] == pytest.approx(fine[name], rel=1e-6, abs=0.0), name
 
 
 class TestCsv:

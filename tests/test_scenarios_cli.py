@@ -37,7 +37,7 @@ SMALL_FIG_TEXT = "scenario = figure1\nn_points = 2048\n"
 
 # a norm_sq of 1e308 overflows sum |psi|^2 in these
 NORM_OVERFLOW = {
-    "ground-state": {"scenario": "ground-state", "sphere_radius": 2.4e6},
+    "ground-state": {"scenario": "ground-state"},
     "boost": {"scenario": "boost", "t_end": 0.02},
     "figure1": {"t_end": 0.02},
 }
@@ -163,6 +163,34 @@ PLAN_RULES = {
     "ground-state-dx-underflow": ({"scenario": "ground-state", "x_min": 0.0},
                                   "x_max", 5e-324,
                                   "ground-state needs normal, finite scales: dx = 0.0"),
+    # overflow RuntimeWarnings, then "no ground-state convergence after 20000
+    # sweeps" (exit 1), which named the wrong cause
+    "choquard-energy-overflow": ({"scenario": "choquard", "radial_points": 64},
+                                 "norm_sq", 1e226,
+                                 "choquard needs normal, finite scales: "
+                                 "energy_scale = inf"),
+    # an OverflowError traceback from the e0 check's norm_sq**3
+    "choquard-e0-overflow": ({"scenario": "choquard"}, "norm_sq", 1e120,
+                             "choquard needs normal, finite scales: "
+                             "energy_scale = inf"),
+    # each ran with the key ignored, exit 0: at k_self 250, then at the
+    # default k_self 1000 twice
+    "figure1-ratio-beside-k_self": (
+        {"n_points": 1024, "k_self": 250.0}, "stiffness_ratio", 10.0,
+        "figure1 takes no stiffness_ratio beside k_self: stiffness_ratio = 10.0 "
+        "would be ignored"),
+    "figure1-lone-sphere_mass": (
+        {"n_points": 1024}, "sphere_mass", 2.0,
+        "figure1 takes no sphere_mass without sphere_radius: sphere_mass = 2.0 "
+        "would be ignored"),
+    "figure1-G-without-sphere": (
+        {"n_points": 1024}, "G", 2.0,
+        "figure1 takes no G without sphere_mass and sphere_radius: G = 2.0 "
+        "would be ignored"),
+    "ground-state-lone-sphere_radius": (
+        {"scenario": "ground-state"}, "sphere_radius", 3.0,
+        "ground-state takes no sphere_radius without sphere_mass: "
+        "sphere_radius = 3.0 would be ignored"),
 }
 
 
@@ -254,8 +282,11 @@ class TestParseConfig:
         ("variance_ratio = 2", {"variance_ratio must lie in (0, 1)"}),
         ("scenario = nowhere", {"scenario must be one of figure1, ground-state, "
                                 "choquard, ehrenfest, boost"}),
+        # k_self sets the model, so stiffness_ratio beside it is refused,
+        # consistent with k_ext or not
         ("k_ext = 1\nk_self = 5\nstiffness_ratio = 4",
-         {"k_self=5.0 disagrees with stiffness_ratio*k_ext=4.0"}),
+         {"figure1 takes no stiffness_ratio beside k_self: stiffness_ratio = 4.0 "
+          "would be ignored"}),
         # the kernel is the ehrenfest scenario's sphere; no key selects it
         ("kernel = sphere-quadratic", {"line 1: unknown key 'kernel'"}),
         ("G = 0\nnorm_sq = -1\nsphere_mass = -1",
@@ -298,8 +329,8 @@ class TestScenarioKeys:
     def test_accepted_pairs(self):
         assert {s: len(row.keys) for s, row in TABLE.items()} == {
             "figure1": 21, "ground-state": 12, "choquard": 6, "ehrenfest": 13,
-            "boost": 16}
-        assert len(UNREAD) == 125 - 68
+            "boost": 14}
+        assert len(UNREAD) == 125 - 66
 
     @pytest.mark.parametrize("scenario, key", UNREAD,
                              ids=[f"{s}-{k}" for s, k in UNREAD])
@@ -1131,6 +1162,16 @@ class TestCli:
 
     @pytest.mark.parametrize("template, param, value, fragment",
                              PLAN_RULES.values(), ids=list(PLAN_RULES))
+    def test_run_refuses_plan_rule(self, tmp_path, capsys, template, param,
+                                   value, fragment):
+        cfg = ScenarioConfig(**template, **{param: value})
+        err = self._run_rejected(tmp_path, capsys, cfg.scenario,
+                                 render_config(cfg))
+        assert fragment in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("template, param, value, fragment",
+                             PLAN_RULES.values(), ids=list(PLAN_RULES))
     def test_sweep_refuses_plan_rule(self, tmp_path, capsys, template, param,
                                      value, fragment):
         cfg_path = tmp_path / "template.cfg"
@@ -1205,9 +1246,9 @@ class TestCli:
         assert "config error" not in capsys.readouterr().err
 
     def test_file_without_scenario_line(self, tmp_path, capsys):
-        # k_ext = 0, which figure1 (the file's default scenario) refuses
+        # init_velocity, which figure1 (the file's default scenario) refuses
         cfg_path = tmp_path / "boost.cfg"
-        cfg_path.write_text("n_points = 1024\nk_ext = 0.0\nt_end = 0.05\n")
+        cfg_path.write_text("n_points = 1024\ninit_velocity = 4.0\nt_end = 0.05\n")
         code = main(["run", "boost", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")])
         assert code == 0
