@@ -14,7 +14,7 @@ phase times a plane wave from two tables of about sqrt(n) exponentials
 and a constant, so a step takes two or three moments of the density and
 never builds V_self; other kernels convolve once a step.  An output logs
 the moments and the norm, and keeps the frame if asked.  Imaginary time
-relaxes the trap model under the mean-field potential and its energy.
+relaxes the trap model by the exact split of its oscillator propagator.
 
 The loop is a stream: a :class:`StrangRun` yields each output frame as
 it is logged.  :func:`run_lockstep` advances several runs together and
@@ -67,8 +67,9 @@ logger = logging.getLogger(__name__)
 BOUNDARY_LEAK_THRESHOLD = 1e-12
 # accuracy bound: resolve the fastest oscillation with at least this many steps
 MIN_STEPS_PER_PERIOD = 10.0
-# first imaginary-time step of imaginary_time_relax; halved as needed
-RELAX_DTAU0 = 0.1
+# first imaginary-time step of imaginary_time_relax, as omega * dtau;
+# halved as needed
+RELAX_OMEGA_TAU = 2.0
 
 
 @dataclass(frozen=True)
@@ -471,17 +472,21 @@ def imaginary_time_relax(
     phys: PhysParams = PhysParams(),
     max_iters: int = 200_000,
 ) -> RelaxResult:
-    """Gradient-flow relaxation to the ground state of the trap model.
+    """Imaginary-time relaxation to the ground state of the trap model.
 
-    Each step applies the split imaginary-time factor
-    exp(-V dtau/2) exp(-T dtau) exp(-V dtau/2) with the potential of
-    :func:`evolve_self_harmonic` rebuilt from the current field, then
-    renormalizes to ``target_norm_sq``.  A step that raises the energy
-    <T> + <V_ext> + <V_self> beyond roundoff is rejected and dtau
-    halved; a roundoff-sized rise keeps the current state and counts as
-    a step of zero change.  So the recorded energy history is
-    non-increasing.  Convergence is a relative energy change below
-    ``tol`` on three consecutive steps.
+    With <x> frozen at the current field, V = (K/2)(x - x_c)^2 + c,
+    K = k_ext + k_self: an oscillator of omega = sqrt(K/m), whose
+    propagator factors exactly (Mehler's kernel) as exp(-dtau H) =
+    exp(-tau_V V/2) exp(-tau_T T) exp(-tau_V V/2) with tau_V = (2/omega)
+    tanh(omega dtau/2) and tau_T = sinh(omega dtau)/omega.  A step applies
+    it with V rebuilt from the field and renormalizes to ``target_norm_sq``,
+    removing c, so the ground state, when resolved and inside the domain,
+    is its fixed point at every dtau.  A step that raises the energy
+    <T> + <V_ext> + <V_self> beyond roundoff is rejected and dtau halved;
+    a roundoff-sized rise keeps the current state and counts as a step of
+    zero change, so the recorded energy history is non-increasing.
+    Convergence is a relative energy change below ``tol`` on three
+    consecutive steps.
 
     Returns the relaxed field, the eigenvalue <psi|H[psi]|psi>/<psi|psi>
     with the potential frozen at convergence, and the energy; for
@@ -489,6 +494,9 @@ def imaginary_time_relax(
     """
     if target_norm_sq <= 0.0:
         raise ConfigError("target_norm_sq must be positive")
+    omega = math.sqrt((model.k_ext + model.k_self) / phys.mass)
+    if not 0.0 < omega < math.inf:  # K = 0 would find the box's constant mode
+        raise ConfigError(f"relaxation needs a confining potential: omega = {omega:g}")
     grid = psi0.grid
     dx = grid.dx
     k = grid.wavenumbers
@@ -510,20 +518,18 @@ def imaginary_time_relax(
         v_self = _self_trap(x, rho, model.k_self)
         return v_ext + v_self, energy + float(np.sum(v_self * rho) * dx)
 
-    dtau = RELAX_DTAU0
+    dtau = RELAX_OMEGA_TAU / omega
     pot, energy = evaluate(vals)
     history = [energy]
     consecutive = 0
-    iters = 0
-    level_energy = None
-    converged = False
-    kin_dtau = None
-    while iters < max_iters:
-        iters += 1
-        if dtau != kin_dtau:  # dtau changes only when it is halved
-            kin_dtau = dtau
-            kin_decay = np.exp(-phys.hbar * k * k * dtau / (2.0 * phys.mass))
-        half_decay = np.exp(-pot * dtau / (2.0 * phys.hbar))
+    decay_dtau = None
+    for iters in range(1, max_iters + 1):
+        if dtau != decay_dtau:  # dtau changes only when it is halved
+            decay_dtau = dtau
+            tau_v = 2.0 * math.tanh(0.5 * omega * dtau) / omega
+            tau_t = math.sinh(omega * dtau) / omega
+            kin_decay = np.exp(-phys.hbar * k * k * tau_t / (2.0 * phys.mass))
+        half_decay = np.exp(-pot * tau_v / (2.0 * phys.hbar))
         trial = vals * half_decay
         trial = np.fft.ifft(np.fft.fft(trial) * kin_decay)
         trial *= half_decay
@@ -551,26 +557,10 @@ def imaginary_time_relax(
             pot = pot_trial
             energy = e_new
             history.append(energy)
-        if rel < tol:
-            consecutive += 1
-            if consecutive >= 3:
-                # converged at this step size; the split flow's fixed
-                # point carries an O(dtau^2) bias, so anneal dtau until
-                # halving it stops moving the energy
-                if level_energy is not None and (
-                    abs(level_energy - energy) <= tol * max(abs(energy), 1e-30)
-                ):
-                    converged = True
-                    break
-                level_energy = energy
-                dtau *= 0.5
-                consecutive = 0
-                if dtau < 1e-6:
-                    converged = True
-                    break
-        else:
-            consecutive = 0
-    if not converged and iters >= max_iters:
+        consecutive = consecutive + 1 if rel < tol else 0
+        if consecutive >= 3:
+            break
+    else:
         raise ConvergenceError(
             f"no convergence after {max_iters} imaginary-time steps", history
         )

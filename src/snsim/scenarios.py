@@ -838,11 +838,19 @@ def _plan_choquard(cfg: ScenarioConfig) -> RunPlan:
     grid = RadialGrid(cfg.radial_points, cfg.r_max)
     # the solver's kinetic coefficient is hbar^2 / (2 M dr^2)
     require_normal("choquard", mass_dr_sq=phys.mass * grid.dr * grid.dr)
-    # the energies scale as the cube of the squared norm: the checks divide
-    # by N^6, and the doubled run's energy is (2 N^2)^3 in the fit's units
+    # the checks divide by the energy scales: the doubled run's is the largest
     doubled = 2.0 * phys.norm_sq
-    require_normal("choquard", energy_scale=doubled * doubled * doubled)
+    require_normal("choquard",
+                   energy_scale=_choquard_unit(phys) * doubled * doubled * doubled)
     return RunPlan(cfg, phys, None, grid)
+
+
+def _choquard_unit(phys: PhysParams) -> float:
+    """G^2 M^5 / hbar^2, in products so an overflow reads inf: the levels at
+    squared norm N^2 are it times N^4 (eigenvalue) or N^6 (functional) times
+    the unit-norm family's."""
+    m = phys.mass
+    return phys.G * phys.G * m * m * m * m * m / (phys.hbar * phys.hbar)
 
 
 def build_choquard(cfg: ScenarioConfig) -> ChoquardScenarioResult:
@@ -852,12 +860,12 @@ def build_choquard(cfg: ScenarioConfig) -> ChoquardScenarioResult:
     doubled = solve_ground_state(phys, 2.0 * cfg.norm_sq, tol=cfg.relax_tol,
                                  grid=grid)
     e_expected = spectrum_value(0)
-    # the published constants describe the unit-norm family; the scaling
-    # law (eigenvalue ~ N^4, functional ~ N^6 in the squared norm N^2)
-    # maps any norm back to it
-    dev_eig = abs(abs(base.eigenvalue) / cfg.norm_sq**2 / e_expected - 1.0)
-    dev_func = abs(abs(base.functional_energy) / cfg.norm_sq**3 / e_expected
-                   - 1.0)
+    # the published constants describe the unit-norm family at hbar = G =
+    # M = 1; the scaling law maps any units and norm back to it
+    n_sq = cfg.norm_sq
+    eig_scale = _choquard_unit(phys) * n_sq * n_sq
+    dev_eig = abs(abs(base.eigenvalue) / eig_scale / e_expected - 1.0)
+    dev_func = abs(abs(base.functional_energy) / (eig_scale * n_sq) / e_expected - 1.0)
     if dev_eig <= dev_func:
         matched, e0_dev = "eigenvalue", dev_eig
     else:

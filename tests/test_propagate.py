@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from snsim.acceptance import _dt_order_check
 from snsim.errors import (
     BoundaryLeakError,
     ConfigError,
@@ -235,10 +236,9 @@ class TestEvolveSelfHarmonic:
             _, out = evolve_self_harmonic(psi0, model, spec, PHYS)
             return out.values
 
-        ref = final(1.25e-4)
-        ratio = (np.max(np.abs(final(1e-3) - ref))
-                 / np.max(np.abs(final(5e-4) - ref)))
-        assert 3.5 <= ratio <= 4.5
+        # 9e's self-convergence ratio of u(dt), u(dt/2), u(dt/4), on 2048 nodes
+        result = _dt_order_check([final(1e-3 / 2**j) for j in range(3)])
+        assert result.passed and 3.5 <= result.value <= 4.5
 
 
 class TestEvolveKernel:
@@ -518,12 +518,51 @@ class TestImaginaryTime:
         assert np.all(np.diff(history) <= 1e-14 * np.abs(history[:-1]) + 1e-30)
 
     def test_roundoff_rise_keeps_history_non_increasing(self):
-        # at this stiffness one relaxation step raised the energy by
-        # 1.6e-15, and the ground-state report failed energy-monotone
+        # at this stiffness one relaxation step raises the energy by
+        # 2.2e-16; the step is kept out of the history, which would
+        # otherwise fail the ground-state report's energy-monotone line
         result = build_ground_state(
-            ScenarioConfig(scenario="ground-state", k_self=6.047831353619284))
+            ScenarioConfig(scenario="ground-state", k_self=7.5))
+        assert result.iters > len(result.history) - 1
         assert result.metrics["energy_increase"] == 0.0
         assert all(c.passed for c in checks(result))
+
+    @pytest.mark.parametrize("model, phys", [
+        (TRAP, PHYS),
+        (HarmonicModelParams(0.0, 10.0), PHYS),
+        (HarmonicModelParams(1.0, 10.0), PhysParams(mass=2.0)),
+    ], ids=["static-trap", "self-trap", "both-mass-2"])
+    def test_exact_ground_state_is_a_fixed_point(self, model, phys):
+        # the exact factorization leaves the ground state where it is at
+        # omega tau = 2, so the run is its three confirming steps; the
+        # plain Strang factor raises the energy there, and each rise halves
+        # tau until the move is below roundoff
+        omega = np.sqrt((model.k_ext + model.k_self) / phys.mass)
+        a = np.sqrt(phys.hbar / (phys.mass * omega))
+        seed = gaussian_packet(GRID, 0.0, a, norm_sq=1.2, hbar=phys.hbar,
+                               mass=phys.mass)
+        result = imaginary_time_relax(seed, model, 1.2, phys=phys)
+        assert result.iters == 3
+        moved = np.max(np.abs(result.field.values - seed.values))
+        assert moved <= 1e-12 * np.max(np.abs(seed.values))
+        assert result.eigenvalue == pytest.approx(0.5 * phys.hbar * omega,
+                                                  rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k_self", np.linspace(5.0, 20.0, 5))
+    @pytest.mark.parametrize("norm_sq", np.linspace(1.0, 1.5, 3))
+    def test_converges_in_a_few_steps(self, k_self, norm_sq):
+        result = build_ground_state(ScenarioConfig(
+            scenario="ground-state", k_self=k_self, norm_sq=norm_sq))
+        assert result.iters <= 8
+        assert all(c.passed for c in checks(result))
+
+    def test_no_confinement_refused(self):
+        # at k_ext = k_self = 0 the flow only finds the periodic box's
+        # constant mode, which is no bound state
+        seed = gaussian_packet(SMALL, 0.0, 1.0)
+        with pytest.raises(ConfigError, match="confining"):
+            imaginary_time_relax(seed, HarmonicModelParams(0.0, 0.0), 1.0,
+                                 phys=PHYS, max_iters=100)
 
     def test_non_convergence_raises(self):
         seed = gaussian_packet(GRID, 0.0, 2.0)

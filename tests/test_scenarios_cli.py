@@ -523,6 +523,16 @@ class TestRunScenario:
         e2 = float(lines[1].split("\t")[2])
         assert e2 / e1 == pytest.approx(8.0, rel=0.01)
 
+    @pytest.mark.parametrize("text", ["G = 2\n", "mass = 1.2\n"],
+                             ids=["G-2", "mass-1.2"])
+    def test_choquard_level_in_any_units(self, tmp_path, text):
+        # the levels scale as G^2 M^5 / hbar^2; mapped back by the norm
+        # alone, choquard-e0 read 0.306 at G = 2 and 0.188 at mass = 1.2
+        report = run_scenario(parse_config("scenario = choquard\n" + text),
+                              tmp_path)
+        assert report.passed
+        assert report.metrics["e0_dev"] == pytest.approx(0.02065, abs=1e-4)
+
     def test_choquard_rerun_identical(self, tmp_path):
         cfg = parse_config("scenario = choquard\n")
         tsv = tmp_path / "choquard_results.tsv"
